@@ -46,7 +46,8 @@ from repro.analysis.series import (
     cells_from_store,
     jsonable,
 )
-from repro.experiments.store import ResultStore, _atomic_write_bytes
+from repro.experiments.store import ResultStore
+from repro.reliability.artifacts import atomic_write
 from repro.simulation.engine import ENGINE_VERSION
 from repro.sweeps.aggregate import ci_halfwidth
 
@@ -461,7 +462,7 @@ def render_catalog(
             continue
         if "json" in formats:
             path = out_dir / f"{spec.name}.json"
-            _atomic_write_bytes(path, payload_bytes(payload))
+            atomic_write(path, payload_bytes(payload), site="store.write")
             written.append(path)
         if use_images:
             for fmt in image_formats:

@@ -10,9 +10,9 @@ plumbing mirrors :mod:`repro.telemetry.registry` exactly:
   guarded by that single ``None`` check, so a disabled run pays one
   attribute load per query and nothing else.
 * A forked pool child inherits the parent's recorder object, so
-  :func:`get_audit` re-resolves from the environment whenever the
-  cached instance's pid is not the current process — each child owns
-  its buffer and commits its own shards.
+  :func:`get_audit` re-resolves from the environment in every process
+  that did not resolve it — each child owns its buffer and commits its
+  own shards.
 * The recorder never touches an RNG stream and never reorders the
   simulation's arithmetic: scores for the audit record are *recomputed*
   from the same pure functions (:func:`repro.core.scoring.omega_vector`
@@ -22,12 +22,13 @@ plumbing mirrors :mod:`repro.telemetry.registry` exactly:
   ways) and ``ENGINE_VERSION`` untouched.
 
 Flush protocol (the store's write-order discipline, in miniature):
-the shard is written first via ``mkstemp(suffix=".npz.tmp")`` +
-``os.replace``, then the manifest via the telemetry layer's
-``atomic_write_bytes``.  The manifest is the commit marker — a reader
-never trusts a shard without one — so the two crash footprints are an
-aged ``*.npz.tmp`` husk and an aged manifest-less ``*.npz``, both of
-which ``queue gc``/``fsck`` recognise as age-gated litter.
+the shard is written first, then the manifest, both through the repo's
+one atomic writer (``audit.write`` failpoint sites; the shard's temp is
+a visible ``<stem>-<random>.npz.tmp``).  The manifest is the commit
+marker — a reader never trusts a shard without one — so the two crash
+footprints are an aged ``*.npz.tmp`` husk and an aged manifest-less
+``*.npz``, both of which ``queue gc``/``fsck`` recognise as age-gated
+litter.
 """
 
 from __future__ import annotations
@@ -36,14 +37,14 @@ import hashlib
 import io
 import json
 import os
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.scoring import omega_vector, provider_score_vector
+from repro.reliability.artifacts import atomic_write, stamp, verify_stamp
 from repro.reliability.failpoints import failpoint
-from repro.telemetry.events import atomic_write_bytes
+from repro.reliability.singleton import ProcessSingleton
 
 __all__ = [
     "AUDIT_DIR_ENV",
@@ -52,6 +53,7 @@ __all__ = [
     "DecisionAudit",
     "audit_from_environment",
     "audit_session",
+    "audit_state",
     "configure_audit",
     "get_audit",
     "manifest_digest",
@@ -72,27 +74,11 @@ AUDIT_FORMAT = "repro-audit-1"
 #: knob — so every shard is rectangular and two shards diff cleanly.
 AUDIT_TOP_K = 4
 
-#: Hex digits of the SHA-256 kept as the manifest stamp (same width as
-#: the telemetry event stamp).
-_DIGEST_LENGTH = 16
-
-
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def manifest_digest(manifest: dict) -> str:
-    """The truncated SHA-256 of ``manifest`` without its stamp."""
-    body = {k: v for k, v in manifest.items() if k != "digest"}
-    return hashlib.sha256(
-        _canonical(body).encode("utf-8")
-    ).hexdigest()[:_DIGEST_LENGTH]
-
-
-def verify_manifest(manifest: dict) -> bool:
-    """Whether ``manifest``'s digest stamp matches its content."""
-    stamp = manifest.get("digest")
-    return isinstance(stamp, str) and manifest_digest(manifest) == stamp
+#: The truncated SHA-256 of a manifest without its stamp (the same
+#: stamp telemetry events carry).
+manifest_digest = stamp
+#: Whether a manifest's digest stamp matches its content.
+verify_manifest = verify_stamp
 
 
 class DecisionAudit:
@@ -315,7 +301,9 @@ class DecisionAudit:
         np.savez_compressed(buffer, **arrays)
         shard_bytes = buffer.getvalue()
         failpoint("audit.commit.shard")
-        _replace_write(shard_path, shard_bytes, suffix=".npz.tmp")
+        atomic_write(
+            shard_path, shard_bytes, site="audit.write", tmp_suffix=".npz.tmp"
+        )
         failpoint("audit.commit.manifest")
 
         manifest = {
@@ -337,12 +325,13 @@ class DecisionAudit:
             "epsilon": run["epsilon"],
             "fixed_omega": run["fixed_omega"],
         }
-        manifest["digest"] = manifest_digest(manifest)
-        atomic_write_bytes(
+        manifest["digest"] = stamp(manifest)
+        atomic_write(
             manifest_path,
             (json.dumps(manifest, sort_keys=True, indent=1) + "\n").encode(
                 "utf-8"
             ),
+            site="audit.write",
         )
         return manifest_path
 
@@ -354,37 +343,9 @@ def _engine_version() -> str:
     return ENGINE_VERSION
 
 
-def _replace_write(path: Path, data: bytes, suffix: str) -> None:
-    """Write-then-rename with a *visible* (undotted) temp suffix.
-
-    The shard half deliberately uses ``<stem>-<rand><suffix>`` instead
-    of the dot-prefixed idiom: gc/fsck age-gate exactly this footprint
-    (``*.npz.tmp``) so a crashed commit is distinguishable from generic
-    atomic-write litter in reports.
-    """
-    import tempfile
-
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=f"{path.stem}-", suffix=suffix
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 # ---------------------------------------------------------------------
 # process-wide active recorder
 # ---------------------------------------------------------------------
-
-_active: DecisionAudit | None = None
-_resolved = False
 
 
 def audit_from_environment() -> DecisionAudit | None:
@@ -393,49 +354,21 @@ def audit_from_environment() -> DecisionAudit | None:
     return DecisionAudit(audit_dir) if audit_dir else None
 
 
-def get_audit() -> DecisionAudit | None:
-    """The process's active recorder, or ``None`` when disabled.
-
-    Resolved lazily from the environment on first call; a forked pool
-    child that inherited the parent's recorder re-resolves so each
-    process buffers and commits its own shards.
-    """
-    global _active, _resolved
-    if not _resolved or (
-        _active is not None and _active.pid != os.getpid()
-    ):
-        _active = audit_from_environment()
-        _resolved = True
-    return _active
-
-
-def configure_audit(
+def _build(
     audit_dir: Path | str | None = None, enabled: bool = True
 ) -> DecisionAudit | None:
-    """Install (or clear) the process-wide recorder explicitly."""
-    global _active, _resolved
-    _active = (
-        DecisionAudit(audit_dir)
-        if enabled and audit_dir is not None
-        else None
-    )
-    _resolved = True
-    return _active
+    if enabled and audit_dir is not None:
+        return DecisionAudit(audit_dir)
+    return None
 
 
-@contextmanager
-def audit_session(audit_dir: Path | str):
-    """Scoped recorder for tests.
+audit_state = ProcessSingleton(audit_from_environment, _build)
 
-    Installs a fresh recorder, yields it, and restores whatever was
-    active before — including the unresolved lazy state, so a session
-    inside a disabled process leaves it disabled.
-    """
-    global _active, _resolved
-    previous = (_active, _resolved)
-    audit = DecisionAudit(audit_dir)
-    _active, _resolved = audit, True
-    try:
-        yield audit
-    finally:
-        _active, _resolved = previous
+#: The process's active recorder, or ``None`` when disabled.
+get_audit = audit_state.get
+#: Install (``audit_dir``) or clear (``None`` / ``enabled=False``) the
+#: process-wide recorder explicitly.
+configure_audit = audit_state.configure
+#: Scoped fresh recorder for tests; restores whatever was active
+#: before on exit.
+audit_session = audit_state.session

@@ -31,22 +31,16 @@ treated as misses and overwritten on the next ``put``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import io
 import json
-import os
-import tempfile
 import zipfile
 from pathlib import Path
 
 import numpy as np
 
-from repro.reliability.durability import (
-    durable_writes_enabled,
-    fsync_dir,
-    fsync_fd,
-)
-from repro.reliability.failpoints import failpoint, torn_payload
+from repro.reliability.artifacts import atomic_write
 from repro.simulation.config import SimulationConfig
 from repro.simulation.departures import DepartureRecord
 from repro.simulation.engine import ENGINE_VERSION, SimulationResult
@@ -131,44 +125,10 @@ class StoredSeries:
         return tuple(self.series)
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` with no partially-visible state.
-
-    Tempfile + ``os.replace`` is the repo's one durable-write idiom —
-    queue records route through here too.  The three failpoint sites
-    bracket the commit point (``os.replace``) so chaos tests can kill a
-    writer at every distinguishable instant; under
-    ``REPRO_DURABLE_WRITES=1`` the temp file is fsynced before the
-    rename and the parent directory after it, upgrading crash
-    atomicity to power-loss durability.
-    """
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            torn = torn_payload("store.write.data", data)
-            if torn is not None:
-                # A writer that died mid-write: a truncated temp file
-                # and an error — the final path is never touched.
-                handle.write(torn)
-                handle.flush()
-                raise OSError(
-                    f"torn write (failpoint) while writing {path.name}"
-                )
-            handle.write(data)
-            if durable_writes_enabled():
-                handle.flush()
-                fsync_fd(handle.fileno())
-        failpoint("store.write.before_replace")
-        os.replace(tmp, path)
-        failpoint("store.write.after_replace")
-        if durable_writes_enabled():
-            fsync_dir(path.parent)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+#: Store entries are written with no partially-visible state, through
+#: the repo's one atomic writer under the ``store.write`` failpoint
+#: family (``.data`` / ``.before_replace`` / ``.after_replace``).
+_atomic_write_bytes = functools.partial(atomic_write, site="store.write")
 
 
 @dataclasses.dataclass(frozen=True)

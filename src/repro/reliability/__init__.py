@@ -4,7 +4,7 @@ The scheduler/store stack documents crash-ordering invariants; this
 package is what makes them *provable* instead of assumed:
 
 * :mod:`repro.reliability.failpoints` — named injection sites threaded
-  through every commit point of the store write path and the queue
+  through every artefact write and every commit point of the queue
   protocol, activated via ``REPRO_FAILPOINTS`` (raise / ENOSPC / torn
   write / hard crash; nth-hit, every-K, or seeded-probability
   policies).  A provable no-op when disabled; never touches a
@@ -15,6 +15,16 @@ package is what makes them *provable* instead of assumed:
 * :mod:`repro.reliability.durability` — opt-in power-loss durability
   (``REPRO_DURABLE_WRITES=1``): fsync file + parent directory around
   the rename in every atomic writer.
+* :mod:`repro.reliability.artifacts` — that atomic writer: the one
+  tempfile-then-commit path every artefact in the repo is written
+  through, with failpoint sites at each instant, plus the one
+  canonical-JSON digest stamp.
+* :mod:`repro.reliability.singleton` — the per-process lazy
+  environment switch behind telemetry, audit, profiling, failpoints
+  and durable writes.
+
+The package is an import leaf: stdlib-only, importing nothing else
+from the repo at module level, so telemetry and audit may build on it.
 
 The consumers are ``repro queue fsck`` (the on-disk state-machine
 checker), ``repro queue fleet`` (the self-healing worker supervisor),

@@ -18,21 +18,23 @@ harness exercises) needs no fsync at all; turn this on when the
 failure domain includes the whole machine.
 
 Like the failpoint registry, the environment is read once per process
-and cached — never on a hot path.
+and cached — never on a hot path.  The writers themselves live in
+:mod:`repro.reliability.artifacts`.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from pathlib import Path
+
+from repro.reliability.singleton import ProcessSingleton
 
 __all__ = [
     "DURABLE_WRITES_ENV",
     "configure_durable_writes",
     "durable_writes_enabled",
     "durable_writes_session",
-    "fsync_fd",
+    "durable_writes_state",
     "fsync_dir",
 ]
 
@@ -42,40 +44,25 @@ DURABLE_WRITES_ENV = "REPRO_DURABLE_WRITES"
 
 _TRUTHY = ("1", "true", "yes", "on")
 
-_enabled: bool | None = None
+
+def _from_environment() -> bool:
+    raw = os.environ.get(DURABLE_WRITES_ENV, "").strip().lower()
+    return raw in _TRUTHY
 
 
-def durable_writes_enabled() -> bool:
-    """Whether writers must fsync (cached; env read once per process)."""
-    global _enabled
-    if _enabled is None:
-        raw = os.environ.get(DURABLE_WRITES_ENV, "").strip().lower()
-        _enabled = raw in _TRUTHY
-    return _enabled
+def _build(enabled: bool | None) -> bool:
+    # ``None`` re-resolves from the environment (tests and embedders).
+    return _from_environment() if enabled is None else bool(enabled)
 
 
-def configure_durable_writes(enabled: bool | None) -> None:
-    """Force (or with ``None`` re-resolve from the environment) the
-    cached durability decision — tests and embedders."""
-    global _enabled
-    _enabled = enabled
+durable_writes_state = ProcessSingleton(_from_environment, _build)
 
-
-@contextmanager
-def durable_writes_session(enabled: bool):
-    """Scoped override for tests; restores the prior cached state."""
-    global _enabled
-    previous = _enabled
-    _enabled = enabled
-    try:
-        yield
-    finally:
-        _enabled = previous
-
-
-def fsync_fd(fd: int) -> None:
-    """``fsync`` one open descriptor (data + metadata)."""
-    os.fsync(fd)
+#: Whether writers must fsync (environment read once per process).
+durable_writes_enabled = durable_writes_state.get
+#: Force the decision, or re-read the environment with ``None``.
+configure_durable_writes = durable_writes_state.configure
+#: Scoped override for tests; restores the prior state.
+durable_writes_session = durable_writes_state.session
 
 
 def fsync_dir(path: Path | str) -> None:

@@ -36,8 +36,9 @@ and ``policy`` decides *when* a hit fires:
 
 Discipline (the same contract as :mod:`repro.telemetry`):
 
-* **Import leaf.**  This module imports nothing from the rest of the
-  package and no third-party code; anything may import it.
+* **Import leaf.**  This module imports nothing outside
+  :mod:`repro.reliability` and no third-party code; anything may
+  import it.
 * **Provable no-op when disabled.**  :func:`failpoint` is one function
   call and a ``None`` check when ``REPRO_FAILPOINTS`` is unset; the
   environment is read once per process (re-resolved on fork), never
@@ -47,11 +48,8 @@ Discipline (the same contract as :mod:`repro.telemetry`):
   failpoints cannot change what any simulation computes — only whether
   its I/O survives.
 
-Instrumented sites (the commit points of the documented protocols)::
+Protocol sites (the commit points of the documented protocols)::
 
-    store.write.data                payload write into the temp file
-    store.write.before_replace      after the temp write, before os.replace
-    store.write.after_replace       after os.replace landed
     queue.enqueue.record            before the job-record write
     queue.enqueue.ticket            between job record and ticket writes
     queue.claim.before_rename       heartbeat written, rename not attempted
@@ -62,10 +60,31 @@ Instrumented sites (the commit points of the documented protocols)::
     queue.requeue                   before a failed lease's attempts bump
     queue.park                      before an error record is created
     worker.loop                     top of each worker loop iteration
+    audit.commit.shard              run buffered, shard not yet written
+    audit.commit.manifest           shard written, manifest not yet written
 
-``store.write.*`` fires for every atomic write in the repo — queue
-records route through the same writer — so one glob rule exercises
-every durable write at once.
+Writer sites: every artefact goes through
+:func:`repro.reliability.artifacts.atomic_write` (or its create-only
+sibling ``atomic_create``), which fires three sites of its writer's
+family — ``<family>.data`` (the payload write into the temp file; the
+only site a ``torn`` rule acts on), ``<family>.before_replace`` (temp
+complete, not yet committed) and ``<family>.after_replace`` (the
+rename or link landed)::
+
+    store.write        result-store entries, queue records, sweep
+                       manifests, figure exports
+    store.create       create-only queue records (error parks, fsck
+                       repairs)
+    trace.write        recorded arrival traces
+    audit.write        audit shards and their manifests
+    telemetry.write    per-process event streams, merged streams,
+                       ops bundles
+    fleet.write        the fleet supervisor's ``fleet.json``
+    profile.write      per-job cProfile dumps
+
+No family's name matches another family's glob, so ``store.write.*``
+reaches exactly the writes it always reached; ``*.write.*`` reaches
+every replacing writer at once.
 """
 
 from __future__ import annotations
@@ -75,7 +94,8 @@ import errno
 import fnmatch
 import os
 import random
-from contextlib import contextmanager
+
+from repro.reliability.singleton import ProcessSingleton
 
 __all__ = [
     "CRASH_EXIT_CODE",
@@ -86,6 +106,7 @@ __all__ = [
     "configure_failpoints",
     "failpoint",
     "failpoints_session",
+    "failpoints_state",
     "get_failpoints",
     "parse_failpoints",
     "torn_payload",
@@ -182,7 +203,6 @@ class Failpoints:
     """The parsed, stateful registry of one process's injection rules."""
 
     def __init__(self, rules: list[_Rule], seed: int = 0) -> None:
-        self.pid = os.getpid()
         self._rules = rules
         self._rng = random.Random(seed)
         # site -> rules whose glob matches it, resolved once per site so
@@ -259,9 +279,6 @@ def parse_failpoints(spec: str, seed: int = 0) -> Failpoints:
 # process-wide active registry (same lazy/fork discipline as telemetry)
 # ---------------------------------------------------------------------
 
-_active: Failpoints | None = None
-_resolved = False
-
 
 def _from_environment() -> Failpoints | None:
     spec = os.environ.get(FAILPOINTS_ENV, "").strip()
@@ -271,44 +288,21 @@ def _from_environment() -> Failpoints | None:
     return parse_failpoints(spec, seed=int(seed_raw) if seed_raw else 0)
 
 
-def get_failpoints() -> Failpoints | None:
-    """The process's active registry, or ``None`` when disabled.
-
-    Resolved lazily from the environment on first call; a forked pool
-    child re-resolves, so each process owns fresh hit counters and the
-    same seeded decision sequence.
-    """
-    global _active, _resolved
-    if not _resolved or (
-        _active is not None and _active.pid != os.getpid()
-    ):
-        _active = _from_environment()
-        _resolved = True
-    return _active
+def _build(spec: str | None, seed: int = 0) -> Failpoints | None:
+    return parse_failpoints(spec, seed=seed) if spec else None
 
 
-def configure_failpoints(
-    spec: str | None, seed: int = 0
-) -> Failpoints | None:
-    """Install (``spec``) or clear (``None``) the registry explicitly."""
-    global _active, _resolved
-    _active = parse_failpoints(spec, seed=seed) if spec else None
-    _resolved = True
-    return _active
+#: The process's registry: resolved from the environment on first use,
+#: and afresh in a forked child, so each process owns its hit counters
+#: and the same seeded decision sequence.
+failpoints_state = ProcessSingleton(_from_environment, _build)
 
-
-@contextmanager
-def failpoints_session(spec: str | None, seed: int = 0):
-    """Scoped registry for tests: install, yield, restore the previous
-    state (including the unresolved lazy state)."""
-    global _active, _resolved
-    previous = (_active, _resolved)
-    registry = parse_failpoints(spec, seed=seed) if spec else None
-    _active, _resolved = registry, True
-    try:
-        yield registry
-    finally:
-        _active, _resolved = previous
+#: The active registry, or ``None`` when disabled.
+get_failpoints = failpoints_state.get
+#: Install (``spec``) or clear (``None``) the registry explicitly.
+configure_failpoints = failpoints_state.configure
+#: Scoped registry for tests; restores the previous state on exit.
+failpoints_session = failpoints_state.session
 
 
 def failpoint(site: str) -> None:

@@ -48,7 +48,7 @@ import time
 from collections.abc import Callable
 from pathlib import Path
 
-from repro.telemetry.events import atomic_write_bytes
+from repro.reliability.artifacts import atomic_write
 
 __all__ = [
     "ChildOutcome",
@@ -269,9 +269,10 @@ class FleetSupervisor:
             ],
         }
         try:
-            atomic_write_bytes(
+            atomic_write(
                 self.state_path,
                 json.dumps(payload, sort_keys=True).encode("utf-8"),
+                site="fleet.write",
             )
             self._state_written = now
         except OSError:  # pragma: no cover - disk trouble

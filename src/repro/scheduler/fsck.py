@@ -94,63 +94,6 @@ class FsckReport:
         }
 
 
-def _aged_temp_files(
-    queue: WorkQueue,
-    now: float,
-    temp_age: float,
-    extra_roots: tuple[Path, ...],
-) -> list[Path]:
-    directories = [
-        queue.root,
-        queue.jobs_dir,
-        queue.pending_dir,
-        queue.leases_dir,
-        queue.done_dir,
-        queue.heartbeats_dir,
-        queue.counters_dir,
-        *extra_roots,
-    ]
-    aged: list[Path] = []
-    for directory in directories:
-        if not directory.is_dir():
-            continue
-        for path in sorted(directory.iterdir()):
-            if not path.is_file():
-                continue
-            if not path.name.startswith("."):
-                # A zero-byte events-*.jsonl is a telemetry husk (a
-                # worker killed before its first flush); a ``*.npz.tmp``
-                # or a manifest-less ``*.npz`` is an audit-flush crash
-                # footprint (the manifest is the commit marker, so a
-                # shard without one can never be read).  All are
-                # age-gated like any other atomic-write litter.  See
-                # :meth:`WorkQueue.gc`.
-                if (
-                    path.name.startswith("events-")
-                    and path.name.endswith(".jsonl")
-                ):
-                    try:
-                        if path.stat().st_size > 0:
-                            continue
-                    except OSError:
-                        continue
-                elif path.name.endswith(".npz.tmp"):
-                    pass
-                elif (
-                    path.suffix == ".npz"
-                    and not path.with_suffix(".json").exists()
-                ):
-                    pass
-                else:
-                    continue
-            try:
-                if now - path.stat().st_mtime >= temp_age:
-                    aged.append(path)
-            except OSError:
-                continue
-    return aged
-
-
 def fsck_queue(
     queue: WorkQueue,
     store: ResultStore | None = None,
@@ -471,7 +414,7 @@ def fsck_queue(
         extra_roots += (store.root,)
     if audit_root is not None:
         extra_roots += (Path(audit_root),)
-    for path in _aged_temp_files(queue, now, temp_age, extra_roots):
+    for path in queue.aged_temp_files(now, temp_age, extra_roots):
         fixed = False
         if repair:
             path.unlink(missing_ok=True)

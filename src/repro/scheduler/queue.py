@@ -56,12 +56,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.experiments.store import _atomic_write_bytes, cache_key
-from repro.reliability.durability import (
-    durable_writes_enabled,
-    fsync_dir,
-    fsync_fd,
-)
+from repro.experiments.store import cache_key
+from repro.reliability.artifacts import atomic_create, atomic_write
 from repro.reliability.failpoints import failpoint
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import ENGINE_VERSION
@@ -139,7 +135,7 @@ def _telemetry_note(
 def _live_entries(directory: Path) -> list[Path]:
     """Directory entries that are real queue records.
 
-    ``_atomic_write_bytes`` stages dot-prefixed temp files in the same
+    The atomic writer stages dot-prefixed temp files in the same
     directory before the ``os.replace``; a concurrent reader must never
     treat one as a ticket/lease (claiming a half-written ticket or
     "scavenging" an attempts-bump temp would corrupt the protocol).
@@ -255,39 +251,24 @@ def _read_json(path: Path) -> dict | None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write_bytes(
-        path, json.dumps(payload, sort_keys=True, indent=1).encode("utf-8")
+    atomic_write(
+        path,
+        json.dumps(payload, sort_keys=True, indent=1).encode("utf-8"),
+        site="store.write",
     )
 
 
 def _create_json_exclusive(path: Path, payload: dict) -> bool:
     """Atomically create ``path`` only if it does not exist yet.
 
-    Write-to-temp + ``os.link`` gives both atomicity (the linked file
-    is complete) and exclusivity (link fails if the name exists) —
-    ``os.replace`` would clobber and ``O_EXCL`` alone is not atomic.
-    Returns False when the path already existed.
+    Returns False when the path already existed (see
+    :func:`~repro.reliability.artifacts.atomic_create`).
     """
-    data = json.dumps(payload, sort_keys=True, indent=1).encode("utf-8")
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            if durable_writes_enabled():
-                handle.flush()
-                fsync_fd(handle.fileno())
-        try:
-            os.link(tmp, path)
-        except FileExistsError:
-            return False
-        if durable_writes_enabled():
-            fsync_dir(path.parent)
-        return True
-    finally:
-        try:
-            os.unlink(tmp)
-        except OSError:  # pragma: no cover - already gone
-            pass
+    return atomic_create(
+        path,
+        json.dumps(payload, sort_keys=True, indent=1).encode("utf-8"),
+        site="store.create",
+    )
 
 
 class WorkQueue:
@@ -1040,43 +1021,17 @@ class WorkQueue:
             skipped=tuple(skipped),
         )
 
-    def gc(
+    def aged_temp_files(
         self,
-        prune: bool = False,
-        now: float | None = None,
-        temp_age: float = 3600.0,
+        now: float,
+        temp_age: float,
         extra_roots: tuple[Path | str, ...] = (),
-        heartbeat_grace: float = 3600.0,
-    ) -> GcReport:
-        """Find (and with ``prune``, remove) queue-directory litter.
+    ) -> list[Path]:
+        """Crashed-writer litter at least ``temp_age`` seconds old.
 
-        Orphaned atomic-write temporaries are dot-prefixed files older
-        than ``temp_age`` seconds (younger ones may belong to a live
-        writer and are left alone) in the queue directories and any
-        ``extra_roots`` (the CLI passes the result store, its manifest
-        directory, and the telemetry and audit directories).  Zero-byte
-        ``events-*.jsonl`` husks — a worker killed between ``mkstemp``
-        and its first telemetry flush — are age-gated the same way:
-        they hold no events and nothing will ever write to them again.
-        So are the decision-audit flush's crash footprints:
-        ``*.npz.tmp`` husks and manifest-less ``*.npz`` shards (the
-        manifest is the commit marker, so an unpaired shard is
-        unreadable litter).
-        Heartbeats are stale once their *file*
-        has not been touched for ``heartbeat_grace`` seconds past the
-        recorded TTL *and* the owner holds no leases — a crashed
-        worker's last sign of life that would otherwise sit in
-        ``status`` output forever.  Stranded jobs are reported for
-        ``retry`` but never pruned: deleting state is not how a queue
-        repairs itself.
-
-        All ages are judged against the shared filesystem's clock
-        (:meth:`filesystem_now`) and file mtimes — both stamped by the
-        file server — so a skewed gc box can neither prune a live
-        writer's seconds-old temp nor overlook a long-dead worker's
-        heartbeat.  ``now`` overrides the probe (tests).
+        The queue directories and ``extra_roots`` are scanned for the
+        footprints :meth:`gc` describes; ``queue fsck`` shares the scan.
         """
-        now = self.filesystem_now() if now is None else now
         directories = [
             self.root,
             self.jobs_dir,
@@ -1087,7 +1042,7 @@ class WorkQueue:
             self.counters_dir,
             *(Path(root) for root in extra_roots),
         ]
-        temp_files: list[Path] = []
+        aged: list[Path] = []
         for directory in directories:
             if not directory.is_dir():
                 continue
@@ -1126,7 +1081,47 @@ class WorkQueue:
                 except OSError:
                     continue
                 if age >= temp_age:
-                    temp_files.append(path)
+                    aged.append(path)
+        return aged
+
+    def gc(
+        self,
+        prune: bool = False,
+        now: float | None = None,
+        temp_age: float = 3600.0,
+        extra_roots: tuple[Path | str, ...] = (),
+        heartbeat_grace: float = 3600.0,
+    ) -> GcReport:
+        """Find (and with ``prune``, remove) queue-directory litter.
+
+        Orphaned atomic-write temporaries are dot-prefixed files older
+        than ``temp_age`` seconds (younger ones may belong to a live
+        writer and are left alone) in the queue directories and any
+        ``extra_roots`` (the CLI passes the result store, its manifest
+        directory, and the telemetry and audit directories).  Zero-byte
+        ``events-*.jsonl`` husks — a worker killed between ``mkstemp``
+        and its first telemetry flush — are age-gated the same way:
+        they hold no events and nothing will ever write to them again.
+        So are the decision-audit flush's crash footprints:
+        ``*.npz.tmp`` husks and manifest-less ``*.npz`` shards (the
+        manifest is the commit marker, so an unpaired shard is
+        unreadable litter).
+        Heartbeats are stale once their *file*
+        has not been touched for ``heartbeat_grace`` seconds past the
+        recorded TTL *and* the owner holds no leases — a crashed
+        worker's last sign of life that would otherwise sit in
+        ``status`` output forever.  Stranded jobs are reported for
+        ``retry`` but never pruned: deleting state is not how a queue
+        repairs itself.
+
+        All ages are judged against the shared filesystem's clock
+        (:meth:`filesystem_now`) and file mtimes — both stamped by the
+        file server — so a skewed gc box can neither prune a live
+        writer's seconds-old temp nor overlook a long-dead worker's
+        heartbeat.  ``now`` overrides the probe (tests).
+        """
+        now = self.filesystem_now() if now is None else now
+        temp_files = self.aged_temp_files(now, temp_age, extra_roots)
         lease_owners = self.lease_owners()
         stale_heartbeats: list[str] = []
         for heartbeat in self.heartbeats():

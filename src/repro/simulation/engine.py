@@ -110,10 +110,6 @@ def _finite_mean(values: np.ndarray) -> float:
     return _mean_of_finite(_finite_values(values))
 
 
-def _finite_fairness(values: np.ndarray) -> float:
-    return _fairness_of_finite(_finite_values(values))
-
-
 @dataclass
 class SimulationResult:
     """Everything one simulation run produced.

@@ -42,12 +42,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from repro.reliability.artifacts import atomic_write
 from repro.simulation.config import SimulationConfig, WorkloadSpec
 from repro.simulation.engine import (
     ENGINE_VERSION,
@@ -156,20 +155,6 @@ def trace_digest(path: Path | str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def record_trace(
     config: SimulationConfig,
     method: str,
@@ -220,11 +205,12 @@ def record_trace(
             "klasses": recorder.klasses,
         },
     }
-    _atomic_write_bytes(
+    atomic_write(
         path,
         json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(
             "utf-8"
         ),
+        site="trace.write",
     )
     return result
 

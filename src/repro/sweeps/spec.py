@@ -15,11 +15,10 @@ manifests from different machines can be matched up by content.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 
 from repro.allocation.registry import PAPER_METHODS, available_methods
 from repro.experiments.executor import SimulationJob
+from repro.reliability.artifacts import stamp
 from repro.simulation.config import SimulationConfig
 from repro.sweeps.scenarios import (
     SCALES,
@@ -113,10 +112,7 @@ class SweepSpec:
 
     def spec_hash(self) -> str:
         """SHA-256 fingerprint of the grid (short-form, 16 hex chars)."""
-        canonical = json.dumps(
-            self.payload(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        return stamp(self.payload())
 
     # -- expansion ----------------------------------------------------
 

@@ -9,21 +9,24 @@ truncated SHA-256 of the line's canonical JSON without the stamp — so
 the read side can tell a complete, untampered event from a torn or
 hand-edited one and refuse loudly instead of aggregating garbage.
 
-Files are written whole via the result store's tempfile +
-``os.replace`` idiom (re-implemented here rather than imported: the
-store transitively imports the engine, and the engine imports this
-package — telemetry stays stdlib-only and import-cycle-free), so a
-reader never observes a partially-written file from a live writer;
-a torn file therefore indicates real corruption, not a race.
+Files are written whole through the repo's one atomic writer
+(:mod:`repro.reliability.artifacts`, a stdlib-only import leaf, so
+telemetry stays import-cycle-free), so a reader never observes a
+partially-written file from a live writer; a torn file therefore
+indicates real corruption, not a race.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
+
+from repro.reliability.artifacts import (
+    atomic_write,
+    canonical_json,
+    stamp,
+    verify_stamp,
+)
 
 __all__ = [
     "EVENT_SCHEMA_VERSION",
@@ -39,42 +42,15 @@ __all__ = [
 #: the report surface parses exactly one shape.
 EVENT_SCHEMA_VERSION = 1
 
-#: Hex digits of the SHA-256 kept as the per-line stamp.
-_DIGEST_LENGTH = 16
-
 
 class TelemetryReadError(ValueError):
     """A telemetry events file is torn, tampered, or not this schema."""
 
 
-def atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write-then-rename so readers never see a partial file.
-
-    Same idiom (and dot-prefixed temp naming, so queue gc recognises
-    orphans) as ``repro.experiments.store._atomic_write_bytes``.
-    """
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def _canonical(event: dict) -> str:
-    return json.dumps(event, sort_keys=True, separators=(",", ":"))
-
-
-def _stamp(event: dict) -> str:
-    return hashlib.sha256(
-        _canonical(event).encode("utf-8")
-    ).hexdigest()[:_DIGEST_LENGTH]
+def atomic_write_bytes(path: Path | str, data: bytes) -> None:
+    """Write-then-rename a telemetry artefact (``telemetry.write``
+    failpoint sites); readers never see a partial file."""
+    atomic_write(path, data, site="telemetry.write")
 
 
 def encode_event(event: dict) -> str:
@@ -83,18 +59,11 @@ def encode_event(event: dict) -> str:
     The digest covers the canonical JSON of everything *except* the
     stamp itself, so verification is a recompute-and-compare.
     """
-    body = {key: value for key, value in event.items() if key != "digest"}
-    body["digest"] = _stamp(body)
-    return _canonical(body)
+    return canonical_json({**event, "digest": stamp(event)})
 
 
-def verify_event(event: dict) -> bool:
-    """Whether ``event``'s digest stamp matches its content."""
-    stamp = event.get("digest")
-    if not isinstance(stamp, str):
-        return False
-    body = {key: value for key, value in event.items() if key != "digest"}
-    return _stamp(body) == stamp
+#: Whether an event's digest stamp matches its content.
+verify_event = verify_stamp
 
 
 def read_events(path: Path | str) -> list[dict]:

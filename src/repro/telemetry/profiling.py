@@ -25,17 +25,21 @@ from __future__ import annotations
 
 import cProfile
 import itertools
+import marshal
 import os
 import socket
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
+
+from repro.reliability.artifacts import atomic_write
+from repro.reliability.singleton import ProcessSingleton
 
 __all__ = [
     "PROFILE_DIR_ENV",
     "active_profile_dir",
     "collect_hotspots",
     "format_hotspots",
+    "profile_dir_state",
     "profile_job",
 ]
 
@@ -43,34 +47,30 @@ __all__ = [
 #: profiling process-wide (fork-based pool children inherit it).
 PROFILE_DIR_ENV = "REPRO_PROFILE_DIR"
 
-_resolved_pid: int | None = None
-_resolved_dir: Path | None = None
 _dump_counter = itertools.count()
 
 
-def active_profile_dir() -> Path | None:
-    """The profile directory, or ``None`` when profiling is off.
+def _from_environment() -> Path | None:
+    value = os.environ.get(PROFILE_DIR_ENV, "").strip()
+    return Path(value) if value else None
 
-    Cached per pid (same re-resolution contract as
-    :func:`repro.telemetry.registry.get_telemetry`) so the disabled
-    path costs one function call and an integer compare.
-    """
-    global _resolved_pid, _resolved_dir
-    pid = os.getpid()
-    if pid != _resolved_pid:
-        value = os.environ.get(PROFILE_DIR_ENV, "").strip()
-        _resolved_dir = Path(value) if value else None
-        _resolved_pid = pid
-    return _resolved_dir
+
+profile_dir_state = ProcessSingleton(_from_environment)
+
+#: The profile directory, or ``None`` when profiling is off — resolved
+#: once per process, so the disabled path costs one function call and
+#: an integer compare.
+active_profile_dir = profile_dir_state.get
 
 
 @contextmanager
 def profile_job(profile_dir: Path | None):
     """Profile the block and dump its stats, or do nothing when off.
 
-    The dump goes through a dot-prefixed temporary and ``os.replace``
-    like every other artifact, so readers never see a torn stats file
-    and queue gc recognises crashed-writer litter.
+    The dump goes through the repo's one atomic writer
+    (``profile.write`` failpoint sites) like every other artefact, so
+    readers never see a torn stats file and queue gc recognises
+    crashed-writer litter.
     """
     if profile_dir is None:
         yield
@@ -86,20 +86,13 @@ def profile_job(profile_dir: Path | None):
             f"profile-{socket.gethostname()}-{os.getpid()}"
             f"-{next(_dump_counter)}.pstats"
         )
-        path = profile_dir / name
-        fd, tmp = tempfile.mkstemp(
-            dir=profile_dir, prefix=f".{name}."
+        # The bytes ``Profile.dump_stats`` would write.
+        profiler.create_stats()
+        atomic_write(
+            profile_dir / name,
+            marshal.dumps(profiler.stats),
+            site="profile.write",
         )
-        os.close(fd)
-        try:
-            profiler.dump_stats(tmp)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
 
 def collect_hotspots(profile_dir: Path | str, top: int = 15) -> dict:

@@ -22,10 +22,11 @@ Invariants the rest of the repo relies on:
   :func:`repro.telemetry.events.read_events`.
 
 Process-pool children are handled explicitly: a forked child inherits
-the parent's registry object, so :func:`get_telemetry` re-resolves
-from the environment whenever the cached instance's pid is not the
-current process — each pool worker writes its own events file and
-never doubles the parent's.
+the parent's registry object, so :func:`get_telemetry` (a
+:class:`~repro.reliability.singleton.ProcessSingleton`) re-resolves
+from the environment in every process that did not resolve it — each
+pool worker writes its own events file and never doubles the
+parent's.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
+from repro.reliability.singleton import ProcessSingleton
 from repro.telemetry.events import (
     EVENT_SCHEMA_VERSION,
     atomic_write_bytes,
@@ -52,6 +54,7 @@ __all__ = [
     "get_telemetry",
     "telemetry_from_environment",
     "telemetry_session",
+    "telemetry_state",
 ]
 
 #: Setting this environment variable to a directory enables telemetry
@@ -290,9 +293,6 @@ class Telemetry:
 # process-wide active registry
 # ---------------------------------------------------------------------
 
-_active: Telemetry | None = None
-_resolved = False
-
 
 def telemetry_from_environment() -> Telemetry | None:
     """A registry per ``$REPRO_TELEMETRY_DIR`` (unset/empty → ``None``)."""
@@ -300,50 +300,22 @@ def telemetry_from_environment() -> Telemetry | None:
     return Telemetry(events_dir) if events_dir else None
 
 
-def get_telemetry() -> Telemetry | None:
-    """The process's active registry, or ``None`` when disabled.
-
-    Resolved lazily from the environment on first call; a forked pool
-    child that inherited the parent's registry re-resolves so each
-    process owns its events file and nothing is double-counted.
-    """
-    global _active, _resolved
-    if not _resolved or (
-        _active is not None and _active.pid != os.getpid()
-    ):
-        _active = telemetry_from_environment()
-        _resolved = True
-    return _active
-
-
-def configure_telemetry(
+def _build(
     events_dir: Path | str | None = None, enabled: bool = True
 ) -> Telemetry | None:
-    """Install (or clear) the process-wide registry explicitly.
-
-    ``enabled=False`` disables telemetry regardless of the
-    environment; otherwise a fresh registry is installed, flushing to
-    ``events_dir`` (``None`` = in-memory only).
-    """
-    global _active, _resolved
-    _active = Telemetry(events_dir) if enabled else None
-    _resolved = True
-    return _active
+    # ``enabled=False`` disables telemetry regardless of the
+    # environment; otherwise a fresh registry flushing to
+    # ``events_dir`` (``None`` = in-memory only).
+    return Telemetry(events_dir) if enabled else None
 
 
-@contextmanager
-def telemetry_session(events_dir: Path | str | None = None):
-    """Scoped registry for tests and the perf harness.
+telemetry_state = ProcessSingleton(telemetry_from_environment, _build)
 
-    Installs a fresh registry, yields it, and restores whatever was
-    active before — including the unresolved lazy state, so a session
-    inside a disabled process leaves it disabled.
-    """
-    global _active, _resolved
-    previous = (_active, _resolved)
-    telemetry = Telemetry(events_dir)
-    _active, _resolved = telemetry, True
-    try:
-        yield telemetry
-    finally:
-        _active, _resolved = previous
+#: The process's active registry, or ``None`` when disabled.
+get_telemetry = telemetry_state.get
+#: Install (``events_dir``) or, with ``enabled=False``, clear the
+#: process-wide registry explicitly.
+configure_telemetry = telemetry_state.configure
+#: Scoped fresh registry for tests and the perf harness; restores
+#: whatever was active before on exit.
+telemetry_session = telemetry_state.session

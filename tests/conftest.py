@@ -10,14 +10,43 @@ from repro.experiments.executor import (
     WORKERS_ENV,
     set_default_executor,
 )
+from repro.audit.recorder import AUDIT_DIR_ENV, audit_state
 from repro.reliability import (
     DURABLE_WRITES_ENV,
     FAILPOINTS_ENV,
     FAILPOINTS_SEED_ENV,
-    configure_durable_writes,
-    configure_failpoints,
 )
+from repro.reliability.durability import durable_writes_state
+from repro.reliability.failpoints import failpoints_state
 from repro.simulation.config import tiny_config
+from repro.telemetry.profiling import PROFILE_DIR_ENV, profile_dir_state
+from repro.telemetry.registry import TELEMETRY_DIR_ENV, telemetry_state
+
+#: Every per-process opt-in switch the suite must start and end without.
+_OPT_IN_SWITCHES = (
+    audit_state,
+    durable_writes_state,
+    failpoints_state,
+    profile_dir_state,
+    telemetry_state,
+)
+
+#: The environment variables that turn those switches on.
+_OPT_IN_ENV = (
+    FAILPOINTS_ENV,
+    FAILPOINTS_SEED_ENV,
+    DURABLE_WRITES_ENV,
+    TELEMETRY_DIR_ENV,
+    AUDIT_DIR_ENV,
+    PROFILE_DIR_ENV,
+)
+
+
+def _clear_opt_in(patch: pytest.MonkeyPatch) -> None:
+    for name in _OPT_IN_ENV:
+        patch.delenv(name, raising=False)
+    for switch in _OPT_IN_SWITCHES:
+        switch.reset()
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -48,22 +77,33 @@ def _hermetic_executor_env(monkeypatch):
     monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _hermetic_opt_in_session():
+    """The per-test shield below, for the whole session: module- and
+    session-scoped fixtures are set up before any per-test fixture."""
+    with pytest.MonkeyPatch.context() as patch:
+        _clear_opt_in(patch)
+        yield
+    for switch in _OPT_IN_SWITCHES:
+        switch.reset()
+
+
 @pytest.fixture(autouse=True)
-def _hermetic_reliability_env(monkeypatch):
-    """Shield every test from operator chaos/durability settings.
+def _hermetic_opt_in_env(monkeypatch):
+    """Shield every test from operator chaos/durability/observability
+    settings.
 
     An exported ``REPRO_FAILPOINTS`` would inject faults into every
-    test in the suite; the cached registries are reset to the lazy
-    unresolved state on both sides of each test.
+    test in the suite, and an exported telemetry, audit or profile
+    directory would collect every test's events, shards and dumps.
+    The five per-process switches are reset to the lazy unresolved
+    state on both sides of each test, so each one re-reads the
+    (cleared) environment on first use.
     """
-    monkeypatch.delenv(FAILPOINTS_ENV, raising=False)
-    monkeypatch.delenv(FAILPOINTS_SEED_ENV, raising=False)
-    monkeypatch.delenv(DURABLE_WRITES_ENV, raising=False)
-    configure_failpoints(None)
-    configure_durable_writes(None)
+    _clear_opt_in(monkeypatch)
     yield
-    configure_failpoints(None)
-    configure_durable_writes(None)
+    for switch in _OPT_IN_SWITCHES:
+        switch.reset()
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.audit.recorder import audit_session
 from repro.experiments.store import _atomic_write_bytes
 from repro.reliability import (
     CRASH_EXIT_CODE,
@@ -26,7 +28,79 @@ from repro.reliability import (
     trip_counts,
 )
 from repro.reliability.durability import fsync_dir
-from repro.telemetry.registry import telemetry_session
+from repro.scheduler.queue import WorkQueue, _create_json_exclusive
+from repro.simulation.config import tiny_config
+from repro.simulation.engine import run_simulation
+from repro.simulation.trace import record_trace
+from repro.sweeps.spec import SweepSpec
+from repro.telemetry.profiling import profile_job
+from repro.telemetry.registry import Telemetry, telemetry_session
+
+
+def _artifact_writers():
+    """One input per artefact writer's failpoint family.
+
+    Each entry is ``(label, family, hit, factory)``: ``factory(d)``
+    returns a zero-argument function performing one real write of that
+    artefact kind into directory ``d``; ``hit`` is which of the
+    family's writes per call the fault should land on (an audit commit
+    writes its shard, then its manifest).
+    """
+    config = tiny_config(duration=40.0)
+    keys = itertools.count()
+
+    def store(directory):
+        return lambda: _atomic_write_bytes(
+            directory / "entry.json", b"payload-bytes"
+        )
+
+    def queue_create(directory):
+        return lambda: _create_json_exclusive(
+            directory / "job.json", {"id": "job"}
+        )
+
+    def trace(directory):
+        return lambda: record_trace(
+            config, "sqlb", 1, directory / "trace.json"
+        )
+
+    def audit(directory):
+        def write():
+            with audit_session(directory) as recorder:
+                run_simulation(config, "sqlb", seed=1)
+                recorder.commit(f"{next(keys):064x}", "sqlb", config)
+
+        return write
+
+    def telemetry(directory):
+        registry = Telemetry(directory)
+
+        def write():
+            registry.count("writes")
+            registry.flush()
+
+        return write
+
+    def profile(directory):
+        def write():
+            with profile_job(directory):
+                pass
+
+        return write
+
+    return [
+        ("store", "store.write", 1, store),
+        ("queue-create", "store.create", 1, queue_create),
+        ("trace", "trace.write", 1, trace),
+        ("audit-shard", "audit.write", 1, audit),
+        ("audit-manifest", "audit.write", 2, audit),
+        ("telemetry-flush", "telemetry.write", 1, telemetry),
+        ("profile-dump", "profile.write", 1, profile),
+    ]
+
+
+def _file_bytes(directory: Path) -> dict[Path, bytes]:
+    return {path: path.read_bytes() for path in directory.iterdir()}
 
 
 class TestParsing:
@@ -136,12 +210,51 @@ class TestTornPayload:
             with pytest.raises(FailpointError):
                 failpoint("s")
 
-    def test_atomic_writer_never_touches_final_path(self, tmp_path):
-        target = tmp_path / "record.json"
-        with failpoints_session("store.write.data:torn:1"):
-            with pytest.raises(OSError, match="torn write"):
-                _atomic_write_bytes(target, b"payload-bytes")
-        assert not target.exists()
+    def test_atomic_writer_never_touches_final_path(
+        self, tmp_path, monkeypatch
+    ):
+        queue = WorkQueue.init(
+            tmp_path / "queue",
+            SweepSpec(
+                name="gc-probe",
+                scenarios=("captive_fixed_80",),
+                methods=("sqlb",),
+                seeds=(1,),
+                scale="tiny",
+            ),
+        )
+        for label, family, hit, factory in _artifact_writers():
+            for fault, spec in (
+                ("torn", f"{family}.data:torn:{hit}"),
+                ("before_replace", f"{family}.before_replace:raise:{hit}"),
+            ):
+                where = f"{label}/{fault}"
+                directory = tmp_path / where.replace("/", "-")
+                directory.mkdir()
+                write = factory(directory)
+                write()  # an earlier, committed version
+                before = _file_bytes(directory)
+                with failpoints_session(spec), monkeypatch.context() as dead:
+                    # No cleanup runs: leave exactly what a writer
+                    # killed at the fault would leave behind.
+                    dead.setattr(os, "unlink", lambda path: None)
+                    with pytest.raises(
+                        OSError,
+                        match="torn write" if fault == "torn" else "injected",
+                    ):
+                        write()
+                after = _file_bytes(directory)
+                # Final paths are absent or still hold their old bytes.
+                assert {path: after.get(path) for path in before} == before, (
+                    where
+                )
+                leftovers = set(after) - set(before)
+                assert leftovers, where
+                # Whatever the dead writer left is age-gated gc litter.
+                litter = queue.gc(
+                    temp_age=0.0, extra_roots=(directory,)
+                ).temp_files
+                assert leftovers <= set(litter), where
 
 
 class TestRegistryLifecycle:
@@ -159,7 +272,7 @@ class TestRegistryLifecycle:
         # Force lazy re-resolution from the (patched) environment.
         import repro.reliability.failpoints as module
 
-        module._resolved = False
+        module.failpoints_state.reset()
         registry = get_failpoints()
         assert registry is not None
         with pytest.raises(FailpointError):

@@ -33,8 +33,7 @@ def _fingerprint(result) -> str:
 def clean_profile_env(monkeypatch):
     monkeypatch.delenv(PROFILE_DIR_ENV, raising=False)
     # Drop the pid cache so each test re-resolves from its own env.
-    monkeypatch.setattr(profiling, "_resolved_pid", None)
-    monkeypatch.setattr(profiling, "_resolved_dir", None)
+    profiling.profile_dir_state.reset()
 
 
 class TestActivation:
@@ -112,11 +111,11 @@ class TestExecutorIntegration:
         executor = ExperimentExecutor(workers=1, store=None)
         [plain] = executor.run([job])
         monkeypatch.setenv(PROFILE_DIR_ENV, str(tmp_path))
-        profiling._resolved_pid = None
+        profiling.profile_dir_state.reset()
         [profiled] = executor.run([job])
         assert _fingerprint(profiled) == _fingerprint(plain)
         monkeypatch.delenv(PROFILE_DIR_ENV)
-        profiling._resolved_pid = None
+        profiling.profile_dir_state.reset()
 
 
 class TestEnvCleanupGuard:

@@ -33,7 +33,7 @@ class TestActivation:
         monkeypatch.setenv(TELEMETRY_DIR_ENV, str(tmp_path))
         import repro.telemetry.registry as registry
 
-        monkeypatch.setattr(registry, "_resolved", False)
+        registry.telemetry_state.reset()
         telemetry = get_telemetry()
         assert telemetry is not None
         assert telemetry.events_dir == tmp_path
