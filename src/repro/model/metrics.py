@@ -41,6 +41,10 @@ T = TypeVar("T")
 DEFAULT_MIN_MAX_C0 = 0.1
 
 
+#: Smallest normal float64: a ``Σ g²`` below it has lost precision.
+_TINY = float(np.finfo(float).tiny)
+
+
 def _as_values(values: Iterable[float]) -> np.ndarray:
     array = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
                        dtype=float)
@@ -77,11 +81,19 @@ def fairness(values: Iterable[float]) -> float:
     An all-zero set is treated as perfectly fair (``1.0``): every
     participant gets exactly the same (null) outcome, and the paper's
     formula is otherwise undefined there.
+
+    The index is scale invariant, so when ``Σ g²`` underflows (tiny
+    non-zero values) it is computed on ``g / max|g|`` instead; every
+    other input takes the plain formula.
     """
     array = _as_values(values)
     denom = float(np.square(array).sum())
-    if denom == 0.0:
-        return 1.0
+    if denom < _TINY:
+        peak = float(np.abs(array).max())
+        if peak == 0.0:
+            return 1.0
+        array = array / peak
+        denom = float(np.square(array).sum())
     total = float(array.sum())
     return (total * total) / (array.size * denom)
 

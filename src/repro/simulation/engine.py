@@ -12,12 +12,17 @@ periodically after a warmup.
 Because provider service is deterministic (FIFO queues with known
 capacity), query completions are computed at assignment time and the
 event loop reduces to a single ordered pass over arrivals — no event
-heap is needed, which keeps the pure-Python hot path tight.
+heap is needed, which keeps the pure-Python hot path tight.  That pass
+is one loop over ``(time, consumer, klass)`` arrivals, live (Poisson)
+or replayed from a trace (:mod:`repro.simulation.trace`); before each
+arrival it runs the samples, departure checks and faults due by then.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import repeat
 from time import perf_counter
 
 import numpy as np
@@ -42,7 +47,7 @@ from repro.simulation.preferences import (
     build_consumer_preferences,
     build_provider_preferences,
 )
-from repro.simulation.queries import QueryFactory
+from repro.simulation.queries import SKIPPED, QueryFactory
 from repro.simulation.queueing import ProviderQueues
 from repro.simulation.reputation import ReputationRegistry
 from repro.simulation.rng import RngFactory
@@ -199,8 +204,10 @@ class MediatorSimulation:
         matchmaker (every provider can treat every query).
     recorder:
         Optional trace recorder (see :mod:`repro.simulation.trace`);
-        when set, every issued query's (time, consumer, class) is
-        recorded.  Recording observes the run without altering it.
+        when set, every arrival's (time, consumer, class) is recorded,
+        with class :data:`~repro.simulation.queries.SKIPPED` for an
+        arrival that issued nothing.  Recording observes the run
+        without altering it.
     """
 
     def __init__(
@@ -380,20 +387,86 @@ class MediatorSimulation:
     # ------------------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        """Execute the full horizon and return the run's results."""
+        """Execute the full horizon and return the run's results.
+
+        A ``None`` consumer or class is drawn from the queries stream at
+        issue time: the consumer first, the class only if it is active.
+        """
         config = self.config
         self.method.reset()
         if self._telemetry is not None:
             self._run_span = self._telemetry.span_open("run", self.method.name)
             self._run_started = perf_counter()
-        if config.workload.kind == "trace":
-            return self._run_replay()
+        arrivals = self._arrival_source()
+        self._next_sample = config.sample_interval
+        self._next_check = (
+            config.warmup_time + config.departure_check_interval
+            if self._autonomy_enabled()
+            else float("inf")
+        )
+        next_due = float("-inf")  # the first arrival brings the ladder up
+        n_consumers = config.n_consumers
+        draw_consumer = self._rng_queries.integers
+        active = self.consumers.active
+        create = self._factory.create
+        recorder = self._recorder
+        acc = self._phase_acc
+
+        for time, consumer, klass in arrivals:
+            if next_due <= time:
+                next_due = self._advance_to(time)
+            if acc is not None:
+                mark = perf_counter()
+            if consumer is None:
+                consumer = int(draw_consumer(n_consumers))
+            if klass == SKIPPED or not active[consumer]:
+                # A departed consumer issues nothing; its share of the
+                # arrival process vanishes with it (Section 6.3.2: fewer
+                # incoming queries after consumer departures).  The
+                # arrival is still recorded: replay must run the ladder
+                # at every arrival instant, issued or not.
+                if recorder is not None:
+                    recorder.record(time, consumer, SKIPPED)
+                if acc is not None:
+                    acc["arrival"] += perf_counter() - mark
+                continue
+            query = create(consumer, time, klass)
+            if recorder is not None:
+                recorder.record(time, consumer, query.klass)
+            if acc is not None:
+                acc["arrival"] += perf_counter() - mark
+            self._dispatch(query, time)
+
+        self._flush_samples(config.duration)
+        return self._build_result()
+
+    def _arrival_source(self) -> Iterator[tuple]:
+        """The run's ``(time, consumer, klass)`` arrivals, in time order.
+
+        A trace replay bypasses the workload and queries streams
+        wholesale, so replays under any method see the same queries.
+        Live arrivals leave consumer and class ``None`` for :meth:`run`.
+        """
+        config = self.config
+        workload = config.workload
+        if workload.kind == "trace":
+            # Local import: trace.py imports this module for recording.
+            from repro.simulation.trace import load_trace
+
+            trace = load_trace(
+                workload.trace_path, expected_digest=workload.trace_digest
+            )
+            self._check_trace_compatible(trace)
+            return zip(
+                trace.times.tolist(),
+                trace.consumers.tolist(),
+                trace.klasses.tolist(),
+            )
         # Hoist the capacity/cost constants out of the per-candidate rate
         # evaluation; the expression keeps arrival_rate_at's exact
         # left-to-right arithmetic so the thinning stream is unchanged.
         total_capacity = config.total_capacity()
         mean_cost = config.query_classes.mean_cost
-        workload = config.workload
         duration = config.duration
 
         def rate_at(time: float) -> float:
@@ -404,102 +477,40 @@ class MediatorSimulation:
         arrivals = PoissonArrivals(
             rate_at=rate_at,
             peak_rate=config.peak_arrival_rate(),
-            duration=config.duration,
+            duration=duration,
             rng=self._rng_workload,
             # A fixed workload's rate always equals the peak, so every
             # candidate is accepted and the per-candidate rate evaluation
             # can be skipped (the thinning draw itself is kept).
             constant_rate=workload.kind == "fixed",
         )
-        next_sample = config.sample_interval
-        next_check = config.warmup_time + config.departure_check_interval
-        autonomy = self._autonomy_enabled()  # constant for the whole run
-        faults = bool(self._fault_events)  # likewise constant
+        return zip(arrivals, repeat(None), repeat(None))
 
-        for time in arrivals:
-            while next_sample <= time:
-                if faults:
-                    self._apply_faults_until(next_sample)
-                self._sample(next_sample)
-                next_sample += config.sample_interval
-            while autonomy and next_check <= time:
-                self._check_departures(next_check)
-                next_check += config.departure_check_interval
-            if faults:
-                self._apply_faults_until(time)
-            self._process_arrival(time)
-
-        while next_sample <= config.duration:
-            if faults:
-                self._apply_faults_until(next_sample)
-            self._sample(next_sample)
-            next_sample += config.sample_interval
-
-        return self._build_result()
-
-    def _run_replay(self) -> SimulationResult:
-        """Drive the run from a recorded trace instead of arrival RNG.
-
-        The workload and query streams are bypassed *wholesale*: every
-        arrival time, issuing consumer, and query class comes from the
-        trace file, so two replays of one trace under different methods
-        see literally the same query sequence (paired comparison with
-        zero arrival-process variance).  Arrivals recorded with the
-        skipped sentinel (class ``-1`` — the drawn consumer had departed
-        at recording time) issue nothing here either, but still advance
-        the sample/departure ladders exactly as they did while
-        recording — that is what makes a recording-method replay
-        byte-identical.
-        """
-        # Local import: trace.py imports this module for recording.
-        from repro.simulation.trace import load_trace
-
-        config = self.config
-        trace = load_trace(
-            config.workload.trace_path,
-            expected_digest=config.workload.trace_digest,
+    def _advance_to(self, time: float) -> float:
+        """Run the samples, then the departure checks, then the faults
+        due by ``time``; return the instant the next one falls due."""
+        self._flush_samples(time)
+        interval = self.config.departure_check_interval
+        while self._next_check <= time:
+            self._check_departures(self._next_check)
+            self._next_check += interval
+        self._apply_faults_until(time)
+        events = self._fault_events
+        next_fault = (
+            events[self._fault_cursor].time
+            if self._fault_cursor < len(events)
+            else float("inf")
         )
-        self._check_trace_compatible(trace)
+        return min(self._next_sample, self._next_check, next_fault)
 
-        next_sample = config.sample_interval
-        next_check = config.warmup_time + config.departure_check_interval
-        autonomy = self._autonomy_enabled()
-        faults = bool(self._fault_events)
-        active = self.consumers.active
-        create_traced = self._factory.create_traced
-
-        for time, consumer, klass in zip(
-            trace.times.tolist(),
-            trace.consumers.tolist(),
-            trace.klasses.tolist(),
-        ):
-            while next_sample <= time:
-                if faults:
-                    self._apply_faults_until(next_sample)
-                self._sample(next_sample)
-                next_sample += config.sample_interval
-            while autonomy and next_check <= time:
-                self._check_departures(next_check)
-                next_check += config.departure_check_interval
-            if faults:
-                self._apply_faults_until(time)
-            if klass < 0 or not active[consumer]:
-                # klass < 0: the arrival issued nothing at recording
-                # time (departed consumer) and issues nothing here.
-                # Inactive consumer: live at recording time but departed
-                # in *this* run's dynamics — its queries vanish exactly
-                # as they would on the live path.
-                continue
-            query = create_traced(consumer, time, klass)
-            self._dispatch(query, time)
-
-        while next_sample <= config.duration:
-            if faults:
-                self._apply_faults_until(next_sample)
-            self._sample(next_sample)
-            next_sample += config.sample_interval
-
-        return self._build_result()
+    def _flush_samples(self, time: float) -> None:
+        """Take every sample due by ``time``, each after its faults (the
+        post-horizon tail runs only this)."""
+        interval = self.config.sample_interval
+        while self._next_sample <= time:
+            self._apply_faults_until(self._next_sample)
+            self._sample(self._next_sample)
+            self._next_sample += interval
 
     def _check_trace_compatible(self, trace) -> None:
         config = self.config
@@ -615,40 +626,11 @@ class MediatorSimulation:
         """The candidate set for ``query`` (see :meth:`_candidate_entry`)."""
         return self._candidate_entry(query)[0]
 
-    def _process_arrival(self, time: float) -> None:
-        config = self.config
-        acc = self._phase_acc
-        if acc is not None:
-            mark = perf_counter()
-        consumer = int(self._rng_queries.integers(config.n_consumers))
-        if not self.consumers.active[consumer]:
-            # A departed consumer issues nothing; its share of the
-            # arrival process vanishes with it (Section 6.3.2: fewer
-            # incoming queries after consumer departures).  The arrival
-            # itself is still recorded: replay must trigger the ladders
-            # at every arrival instant, issued or not.
-            if self._recorder is not None:
-                self._recorder.record(time, consumer, -1)
-            if acc is not None:
-                acc["arrival"] += perf_counter() - mark
-            return
-        query = self._factory.create(consumer, time)
-        if acc is not None:
-            acc["arrival"] += perf_counter() - mark
-        self._dispatch(query, time)
-
     def _dispatch(self, query, time: float) -> None:
-        """Mediate one issued query (Algorithm 1 body).
-
-        Shared between the live path (:meth:`_process_arrival`, which
-        draws the consumer and class) and trace replay (which reads them
-        from the file).
-        """
+        """Mediate one issued query (Algorithm 1 body)."""
         config = self.config
         consumer = query.consumer
         self._queries_issued += 1
-        if self._recorder is not None:
-            self._recorder.record(time, consumer, query.klass)
 
         # Phase marks are gated on a single None check each; ``mark``
         # carries the running perf_counter between phase boundaries.
@@ -1054,9 +1036,8 @@ def run_simulation(
     method: AllocationMethod | str,
     seed: int = 0,
     matchmaker: Matchmaker | None = None,
-    recorder=None,
 ) -> SimulationResult:
     """Convenience wrapper: build and run one simulation."""
     return MediatorSimulation(
-        config, method, seed=seed, matchmaker=matchmaker, recorder=recorder
+        config, method, seed=seed, matchmaker=matchmaker
     ).run()

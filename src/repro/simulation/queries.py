@@ -15,7 +15,11 @@ import numpy as np
 
 from repro.simulation.config import QueryClassSpec
 
-__all__ = ["Query", "QueryFactory"]
+__all__ = ["SKIPPED", "Query", "QueryFactory"]
+
+#: Query-class sentinel for an arrival that issued no query (its drawn
+#: consumer had departed).
+SKIPPED = -1
 
 
 @dataclass(frozen=True)
@@ -83,39 +87,26 @@ class QueryFactory:
         """How many queries this factory has created."""
         return self._next_id
 
-    def create(self, consumer: int, issued_at: float) -> Query:
-        """Draw a query class and issue a query for ``consumer``.
+    def create(
+        self, consumer: int, issued_at: float, klass: int | None = None
+    ) -> Query:
+        """Issue a query for ``consumer``, drawing its class if not given.
 
         The class draw is ``Generator.choice(n, p=...)`` unrolled: one
         uniform against the precomputed CDF, which consumes the exact
-        same stream (verified bit-identical in the RNG tests).
+        same stream (verified bit-identical in the RNG tests).  A given
+        ``klass`` (trace replay: the class was drawn when the trace was
+        recorded) draws nothing.
         """
-        klass = int(self._cdf.searchsorted(self._rng.random(), side="right"))
+        if klass is None:
+            klass = int(
+                self._cdf.searchsorted(self._rng.random(), side="right")
+            )
         # Bypass the frozen-dataclass __init__ (per-field object.__setattr__
         # plus __post_init__): every field here is valid by construction —
         # costs and n_desired were validated when the spec/factory were
         # built.  The resulting instance is indistinguishable from a
         # normally-constructed Query.
-        query = Query.__new__(Query)
-        query.__dict__.update(
-            qid=self._next_id,
-            consumer=consumer,
-            klass=klass,
-            cost_units=self._cost_list[klass],
-            n_desired=self._n_desired,
-            issued_at=issued_at,
-        )
-        self._next_id += 1
-        return query
-
-    def create_traced(
-        self, consumer: int, issued_at: float, klass: int
-    ) -> Query:
-        """Issue a query with a *given* class — no RNG consumed.
-
-        The trace-replay path: the class was drawn when the trace was
-        recorded, so replay must not touch the query stream at all.
-        """
         query = Query.__new__(Query)
         query.__dict__.update(
             qid=self._next_id,

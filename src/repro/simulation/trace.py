@@ -4,15 +4,19 @@ Recording serialises the *arrival stream* of one run — every arrival
 time, the drawn consumer, and the drawn query class, in order —
 together with enough environment identity (populations, horizon, query
 costs, the recorded workload spec) to refuse replay against an
-incompatible config.  Replaying feeds that exact stream to the engine
-in place of the Poisson arrival process and the per-query
-consumer/class draws.
+incompatible config.  The engine has one arrival loop
+(``MediatorSimulation.run``) over an arrival source of
+``(time, consumer, klass)``: a live run's source is the Poisson process
+with the consumer and class drawn at issue time, and a replay's source
+is the loaded trace, which supplies all three.  The loop calls the
+recorder once per arrival, so recording sees exactly what replay feeds
+back.
 
 Arrivals whose drawn consumer had already departed issue no query; they
-are still recorded (with query class ``-1``) because the engine's
-sample and departure-check ladders advance at *every* arrival, issued
-or not, and byte-identical replay must trigger those ladders at the
-same instants the recording run did.
+are still recorded (with query class :data:`SKIPPED`) because the
+loop's sample/departure/fault ladder advances at *every* arrival,
+issued or not, and byte-identical replay must trigger that ladder at
+the same instants the recording run did.
 
 Why this matters: two independent runs of different allocation methods
 differ both because the methods differ *and* because their arrival
@@ -53,6 +57,7 @@ from repro.simulation.engine import (
     MediatorSimulation,
     SimulationResult,
 )
+from repro.simulation.queries import SKIPPED
 
 __all__ = [
     "SKIPPED",
@@ -72,11 +77,6 @@ TRACE_FORMAT = "repro-trace-1"
 
 #: The workload kinds a trace can record (everything but ``trace``).
 _RECORDABLE_KINDS = ("fixed", "ramp", "burst", "piecewise")
-
-
-#: Query-class sentinel for a recorded arrival that issued no query
-#: (its drawn consumer had departed).
-SKIPPED = -1
 
 
 class TraceRecorder:

@@ -114,7 +114,7 @@ class TestRunPerf:
         monkeypatch.setattr(perf, "PERF_MATRIX", TINY_MATRIX)
         text = profile_run("tiny_captive", top=5)
         assert "cumulative" in text
-        assert "_process_arrival" in text
+        assert "_dispatch" in text
 
 
 class TestCompareReports:

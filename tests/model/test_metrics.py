@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.model import metrics
@@ -51,6 +51,10 @@ class TestFairness:
     def test_all_zero_is_defined_as_fair(self):
         assert metrics.fairness([0.0, 0.0]) == 1.0
 
+    def test_underflowing_squares_keep_the_index(self):
+        # (1e-170)² underflows to 0; the index is still 1/n, not "fair".
+        assert metrics.fairness([1e-170, 0.0]) == pytest.approx(0.5)
+
     def test_single_nonzero_among_many_is_least_fair(self):
         # Jain's index lower bound is 1/n, hit by a single winner.
         n = 10
@@ -66,6 +70,7 @@ class TestFairness:
         unit_values,
         st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
     )
+    @example(values=[2.99e-160, 2.99e-160], scale=0.5)
     def test_scale_invariance(self, values, scale):
         """Jain's index is invariant to a positive rescaling of g."""
         scaled = [value * scale for value in values]

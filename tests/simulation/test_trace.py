@@ -35,6 +35,12 @@ from tests.experiments.test_golden import (
 )
 
 
+def _captive_outage_config():
+    return captive_config().with_faults(
+        FaultSpec(outages=(OutageSpec(fraction=0.25, start=0.4, end=0.6),))
+    )
+
+
 @pytest.fixture
 def captive_trace(tmp_path):
     path = tmp_path / "captive.trace.json"
@@ -92,14 +98,24 @@ class TestReplay:
             series_fingerprint(replayed) == SERIES_SHA256[("captive", "sqlb")]
         )
 
-    def test_replay_with_departures_is_byte_identical(self, tmp_path):
-        """Autonomy runs record skipped arrivals; replay must trigger
-        the sample/departure ladders at the same instants anyway."""
+    @pytest.mark.parametrize(
+        "make_config",
+        [
+            pytest.param(autonomous_config, id="autonomous"),
+            pytest.param(_captive_outage_config, id="captive_outage"),
+        ],
+    )
+    def test_replay_with_departures_is_byte_identical(
+        self, make_config, tmp_path
+    ):
+        """Autonomy runs record skipped arrivals and fault runs take
+        providers down mid-run; replay must trigger the sample,
+        departure and fault ladder at the same instants anyway."""
         path = tmp_path / "auto.trace.json"
-        result = record_trace(autonomous_config(), "sqlb", 5, path)
+        result = record_trace(make_config(), "sqlb", 5, path)
         trace = load_trace(path)
         assert (trace.klasses == SKIPPED).sum() == trace.events - trace.issued
-        config = replay_config(autonomous_config(), path)
+        config = replay_config(make_config(), path)
         replayed = run_simulation(config, "sqlb", seed=5)
         assert series_fingerprint(replayed) == series_fingerprint(result)
 

@@ -15,7 +15,8 @@ import hashlib
 import pytest
 
 from repro.simulation.config import DepartureRules, WorkloadSpec, tiny_config
-from repro.simulation.engine import run_simulation
+from repro.simulation.engine import ENGINE_PHASES, run_simulation
+from repro.simulation.trace import record_trace, replay_config
 from repro.telemetry.registry import telemetry_session
 
 #: Frozen in tests/experiments/test_golden.py before telemetry existed;
@@ -46,12 +47,17 @@ def _config(label):
     ).with_departures(DepartureRules.autonomous(True))
 
 
-@pytest.mark.parametrize("label", ["captive", "autonomous"])
+@pytest.mark.parametrize("label", ["captive", "autonomous", "replay"])
 @pytest.mark.parametrize("method", ["sqlb", "capacity"])
 def test_enabled_and_disabled_runs_are_bit_identical(
     label, method, tmp_path
 ):
-    config = _config(label)
+    if label == "replay":
+        path = tmp_path / "captive.trace.json"
+        record_trace(_config("captive"), method, 5, path)
+        config = replay_config(_config("captive"), path)
+    else:
+        config = _config(label)
     disabled = run_simulation(config, method, seed=5)
     with telemetry_session(tmp_path) as telemetry:
         enabled = run_simulation(config, method, seed=5)
@@ -59,9 +65,14 @@ def test_enabled_and_disabled_runs_are_bit_identical(
         assert telemetry.counters["engine.queries_issued"] == (
             enabled.queries_issued
         )
-        assert any(
-            event["kind"] == "phase" for event in telemetry.events
-        )
+        phases = {
+            event["name"]: event["dur_s"]
+            for event in telemetry.events
+            if event["kind"] == "phase"
+        }
+    # Live and replayed runs time the same work: every phase ran.
+    assert set(phases) == set(ENGINE_PHASES)
+    assert all(seconds > 0.0 for seconds in phases.values()), phases
     assert _fingerprint(enabled) == _fingerprint(disabled)
 
 
