@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.allocation.base import AllocationMethod, AllocationRequest
-from repro.core.ranking import rank_providers
+from repro.core.ranking import rank_providers, top_selection
 
 __all__ = ["MariposaMethod"]
 
@@ -85,12 +85,15 @@ class MariposaMethod(AllocationMethod):
         delays = request.backlog_seconds + (
             request.query.cost_units / request.capacities
         )
+        qualified = delays <= self._max_delay
+        n_needed = request.n_to_select
+        if n_needed == 1:
+            return self._cheapest_qualified(bids, qualified, request)
         # Cheapest-first ranking: rank on negated bids.
         ranking = rank_providers(
             -bids, rng=request.rng, tie_break=self._tie_break
         )
-        qualified = delays[ranking] <= self._max_delay
-        n_needed = request.n_to_select
+        qualified = qualified[ranking]
         winners = ranking[qualified][:n_needed]
         if winners.size < n_needed:
             # Not enough bids under the curve: fill with the cheapest
@@ -98,3 +101,29 @@ class MariposaMethod(AllocationMethod):
             backfill = ranking[~qualified][: n_needed - winners.size]
             winners = np.concatenate((winners, backfill))
         return winners
+
+    def _cheapest_qualified(
+        self,
+        bids: np.ndarray,
+        qualified: np.ndarray,
+        request: AllocationRequest,
+    ) -> np.ndarray:
+        """The single winner of :meth:`select`, by a scan instead of a sort.
+
+        The first qualified entry of the cheapest-first ranking is the
+        best of ``-bids`` with every unqualified bid pushed to ``-inf``;
+        with no qualified bid, the backfill takes the overall cheapest,
+        so nothing is masked.  :func:`top_selection` orders by score,
+        then the same jitter draw, then position — the ranking's own
+        lexsort order — so the winner and the RNG stream are unchanged.
+        The mask would hide a NaN among the unqualified bids from
+        ``top_selection``, so the NaN check runs over every bid here.
+        """
+        if np.isnan(bids).any():
+            raise ValueError("scores must not contain NaN")
+        key = -bids
+        if qualified.any():
+            key = np.where(qualified, key, -np.inf)
+        return top_selection(
+            key, 1, rng=request.rng, tie_break=self._tie_break
+        )

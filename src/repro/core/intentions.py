@@ -56,6 +56,32 @@ def _check_signed_unit(name: str, value: float) -> None:
         raise ValueError(f"{name} must be in [-1, 1], got {value}")
 
 
+def _two_branch_product(
+    positive: np.ndarray,
+    base_a: np.ndarray,
+    exponent_a: np.ndarray | float,
+    base_b: np.ndarray,
+    exponent_b: np.ndarray | float,
+) -> np.ndarray:
+    """``a^x · b^y`` on ``positive`` lanes, ``-(a^x · b^y)`` elsewhere.
+
+    The shared kernel of Definitions 7, 8 and 9.  Callers pick each
+    lane's two bases (positive branch or negative branch) *before* the
+    powers, so every lane runs exactly the IEEE operations of its own
+    branch — one power pair, one multiply and an in-place negate instead
+    of both branches' four powers and an output select.  Choosing first
+    also keeps the unused branch's zero bases out of ``np.power``, whose
+    zero-base path is several times slower than the regular one.
+
+    Both bases must be fresh full-shape arrays; the kernel overwrites
+    them (``base_a`` becomes the result).
+    """
+    out = np.power(base_a, exponent_a, out=base_a)
+    out *= np.power(base_b, exponent_b, out=base_b)
+    np.negative(out, out=out, where=~positive)
+    return out
+
+
 def consumer_intention(
     preference: float,
     reputation: float,
@@ -111,18 +137,13 @@ def consumer_intention_vector(
     if rep.shape != prf.shape:
         rep = np.broadcast_to(rep, prf.shape)
     positive = (prf > 0.0) & (rep > 0.0)
-    # Both factor bases are strictly positive on their branch, so the
-    # fractional powers are always well defined; the unused lane is
-    # floored at 0 (``maximum`` ≡ the one-sided clip, minus the
-    # dispatch overhead) to keep numpy from warning.
-    pos = np.power(np.maximum(prf, 0.0), upsilon) * np.power(
-        np.maximum(rep, 0.0), 1.0 - upsilon
+    return _two_branch_product(
+        positive,
+        np.where(positive, prf, 1.0 - prf + epsilon),
+        upsilon,
+        np.where(positive, rep, 1.0 - rep + epsilon),
+        1.0 - upsilon,
     )
-    neg = -(
-        np.power(1.0 - prf + epsilon, upsilon)
-        * np.power(1.0 - rep + epsilon, 1.0 - upsilon)
-    )
-    return np.where(positive, pos, neg)
 
 
 def provider_intention(
@@ -192,15 +213,13 @@ def provider_intention_vector(
         # broadcasting only runs for surface plots and scalar mixes.
         prf, ut, sat = np.broadcast_arrays(prf, ut, sat)
     positive = (prf > 0.0) & (ut < 1.0)
-    one_minus_sat = 1.0 - sat  # shared by both branches' exponents
-    pos = np.power(np.maximum(prf, 0.0), one_minus_sat) * np.power(
-        np.maximum(1.0 - ut, 0.0), sat
+    return _two_branch_product(
+        positive,
+        np.where(positive, prf, 1.0 - prf + epsilon),
+        1.0 - sat,
+        np.where(positive, 1.0 - ut, ut + epsilon),
+        sat,
     )
-    neg = -(
-        np.power(1.0 - prf + epsilon, one_minus_sat)
-        * np.power(ut + epsilon, sat)
-    )
-    return np.where(positive, pos, neg)
 
 
 def provider_intention_surface(

@@ -80,26 +80,34 @@ def top_selection(
     ties to the lowest position — exactly the order ``lexsort`` defines,
     so the result is bit-identical to ``rank_providers(...)[:1]``.  The
     jitter is drawn either way, keeping the RNG stream unchanged.
+
+    The single-winner paths check for NaN through the winner itself:
+    ``argmax`` returns the first NaN whenever there is one, so testing
+    ``values[best]`` is the full ``isnan`` scan minus one pass.
     """
     if n_select < 1:
         raise ValueError(f"n_select must be at least 1, got {n_select}")
     values = np.asarray(scores, dtype=float)
     if values.ndim != 1:
         raise ValueError(f"scores must be 1-D, got shape {values.shape}")
-    if np.isnan(values).any():
+    single = n_select == 1 and values.size > 0
+    if single:
+        best = int(np.argmax(values))
+        if np.isnan(values[best]):
+            raise ValueError("scores must not contain NaN")
+    elif np.isnan(values).any():
         raise ValueError("scores must not contain NaN")
     if tie_break not in _TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {_TIE_BREAKS}, got {tie_break!r}")
     if tie_break == "index" or values.size <= 1:
-        if n_select == 1 and values.size > 1:
+        if single:
             # Stable sort puts the first maximal element on top.
-            return np.array([np.argmax(values)])
+            return np.array([best])
         return np.argsort(-values, kind="stable")[:n_select]
     if rng is None:
         raise ValueError("random tie-breaking requires an rng")
     jitter = rng.random(values.size)
-    if n_select == 1:
-        best = int(np.argmax(values))
+    if single:
         ties = values == values[best]
         if np.count_nonzero(ties) > 1:
             tied = np.flatnonzero(ties)

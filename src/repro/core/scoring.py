@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.intentions import DEFAULT_EPSILON
+from repro.core.intentions import DEFAULT_EPSILON, _two_branch_product
 
 __all__ = [
     "omega",
@@ -141,12 +141,10 @@ def provider_score_vector(
     if om.size and (om.min() < 0.0 or om.max() > 1.0):
         raise ValueError("omega values must be in [0, 1]")
     positive = (pi > 0.0) & (ci > 0.0)
-    one_minus_om = 1.0 - om  # shared by both branches' exponents
-    pos = np.power(np.maximum(pi, 0.0), om) * np.power(
-        np.maximum(ci, 0.0), one_minus_om
+    return _two_branch_product(
+        positive,
+        np.where(positive, pi, 1.0 - pi + epsilon),
+        om,
+        np.where(positive, ci, 1.0 - ci + epsilon),
+        1.0 - om,
     )
-    neg = -(
-        np.power(1.0 - pi + epsilon, om)
-        * np.power(1.0 - ci + epsilon, one_minus_om)
-    )
-    return np.where(positive, pos, neg)

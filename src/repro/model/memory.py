@@ -387,8 +387,9 @@ class RowRingLog:
         # lockstep since construction — the universal-matchmaker hot
         # path, including after departures shrink the set).  One
         # contiguous plane holds every outgoing and incoming value, so
-        # the update is a handful of dense (rows x channels) operations
-        # with no scatter machinery at all.  Once every window is full
+        # the whole-window update is a handful of dense (rows x channels)
+        # operations with no scatter machinery at all, and the performed
+        # one touches only the rows it moves.  Once every window is full
         # the eviction masks collapse (full ≡ True) and the whole update
         # shrinks further.  The order of the sum updates (evict old,
         # then add new) matches the scattered path, so the running sums
@@ -406,16 +407,10 @@ class RowRingLog:
                 full = self._count == capacity
                 old_performed = performed_plane & full
                 self._sum_all -= np.where(full[:, None], old, 0.0)
-            self._sum_performed -= np.where(
-                old_performed[:, None], old, 0.0
-            )
             self._dirty_mask = performed | old_performed
-            self._count_performed += performed.astype(
-                np.int64
-            ) - old_performed.astype(np.int64)
+            self._move_performed(rows, old, old_performed, new, performed)
             plane[...] = new
             self._sum_all += new
-            self._sum_performed += np.where(performed[:, None], new, 0.0)
             performed_plane[...] = performed
             if not self._all_full:
                 np.minimum(self._count + 1, capacity, out=self._count)
@@ -432,18 +427,10 @@ class RowRingLog:
                 full = self._count[rows] == capacity
                 old_performed = performed_plane[rows] & full
                 self._sum_all[rows] -= np.where(full[:, None], old, 0.0)
-            self._sum_performed[rows] -= np.where(
-                old_performed[:, None], old, 0.0
-            )
             self._dirty_mask = performed | old_performed
-            self._count_performed[rows] += performed.astype(
-                np.int64
-            ) - old_performed.astype(np.int64)
+            self._move_performed(rows, old, old_performed, new, performed)
             plane[rows] = new
             self._sum_all[rows] += new
-            self._sum_performed[rows] += np.where(
-                performed[:, None], new, 0.0
-            )
             performed_plane[rows] = performed
             if not self._all_full:
                 self._count[rows] = np.minimum(
@@ -453,6 +440,33 @@ class RowRingLog:
                     self._all_full = True
             self._pos[rows] = (slot + 1) % capacity
             self._uniform_slot = None
+
+    def _move_performed(
+        self,
+        rows: np.ndarray,
+        old: np.ndarray,
+        old_performed: np.ndarray,
+        new: np.ndarray,
+        performed: np.ndarray,
+    ) -> None:
+        # Performed bookkeeping as a sparse delta: only rows that evict a
+        # performed entry or perform this push move, a handful per query,
+        # so each is updated on its own (evict first, then add — the
+        # dense order).  Skipping the other rows drops their ``± 0.0``,
+        # which is the identity on every sum except -0.0 + 0.0, and a
+        # running sum is only -0.0 when every term in it is -0.0.  Must
+        # run before the ring slot is overwritten: ``old`` and
+        # ``old_performed`` may be live views of it.
+        sums = self._sum_performed
+        counts = self._count_performed
+        for index in np.flatnonzero(old_performed).tolist():
+            row = rows[index]
+            sums[row] -= old[index]
+            counts[row] -= 1
+        for index in np.flatnonzero(performed).tolist():
+            row = rows[index]
+            sums[row] += new[index]
+            counts[row] += 1
 
     def _push_scattered(
         self,
@@ -473,14 +487,9 @@ class RowRingLog:
         # Evict the outgoing entry from both running sums, then add the
         # incoming one; the channel axis rides along contiguously.
         self._sum_all[rows] -= np.where(full[:, None], old, 0.0)
-        self._sum_performed[rows] -= np.where(old_performed[:, None], old, 0.0)
+        self._move_performed(rows, old, old_performed, new, performed)
         self._data[pos, rows] = new
         self._sum_all[rows] += new
-        self._sum_performed[rows] += np.where(performed[:, None], new, 0.0)
-
-        self._count_performed[rows] += performed.astype(
-            np.int64
-        ) - old_performed.astype(np.int64)
         self._performed[pos, rows] = performed
         if not self._all_full:
             self._count[rows] = np.minimum(

@@ -72,19 +72,66 @@ ENGINE_VERSION = "1"
 
 #: Hot-path phases the telemetry layer times, in execution order.
 #: ``arrival`` covers the consumer draw and query construction; the
-#: other four partition :meth:`MediatorSimulation._dispatch`.
+#: other six partition :meth:`MediatorSimulation._dispatch`:
+#: ``candidate_lookup`` (the cached ``P_q``), ``intentions`` (everything
+#: the allocation request carries: utilisation, the provider preference
+#: draw, satisfactions, both intention vectors, backlog), ``selection``
+#: (the method's choice and its validation), ``queueing`` (queue
+#: assignment, response time, utilisation bookkeeping),
+#: ``consumer_update`` and ``provider_update`` (the satisfaction model).
 ENGINE_PHASES = (
     "arrival",
     "candidate_lookup",
-    "scoring",
-    "ranking",
-    "log_push",
+    "intentions",
+    "selection",
+    "queueing",
+    "consumer_update",
+    "provider_update",
 )
 
 #: Feed the dispatch-latency quantile timer every Nth issued query.
 #: The stride is a deterministic counter — never an RNG draw — so
 #: sampling cannot perturb the simulation's random streams.
 _DISPATCH_SAMPLE_STRIDE = 8
+
+
+class _CandidateEntry(tuple):
+    """A cached ``(candidates, capacities)`` pair.
+
+    It also carries what depends only on (consumer, candidate set) in
+    ``consumer_intention_mode == "preference"``: ``consumer_block`` is
+    ``None`` until the first dispatch that needs it builds a
+    :class:`_ConsumerBlock`, and it is dropped with the entry.
+    """
+
+    consumer_block: _ConsumerBlock | None = None
+
+
+class _ConsumerBlock:
+    """Every consumer's intentions towards one candidate set.
+
+    ``intentions`` is ``preferences[:, candidates]`` (in preference mode
+    the intentions *are* the preferences) and ``clipped`` its
+    ``[-1, 1]`` clip, both read-only C-ordered ``(n_consumers ×
+    n_candidates)`` blocks whose contiguous rows are what the per-query
+    path gathers and clips.
+    ``adequations`` memoises ``query_adequation`` of a consumer's
+    clipped row — Equation 1 of a fixed row is a constant.
+    """
+
+    __slots__ = ("adequations", "clipped", "intentions")
+
+    def __init__(self, preferences: np.ndarray, candidates: np.ndarray):
+        intentions = preferences.take(candidates, axis=1)
+        # min/max pair == np.clip without its dispatch wrapper (the same
+        # pair the per-query path applies to one row).
+        clipped = np.maximum(intentions, -1.0)
+        np.minimum(clipped, 1.0, out=clipped)
+        intentions.flags.writeable = False
+        clipped.flags.writeable = False
+        self.intentions = intentions
+        self.clipped = clipped
+        self.adequations: dict[int, float] = {}
 
 
 def _finite_values(values: np.ndarray) -> np.ndarray:
@@ -321,8 +368,15 @@ class MediatorSimulation:
         self._matchmaker_cacheable = bool(
             getattr(self._matchmaker, "cacheable_by_class", False)
         )
-        self._candidate_cache: dict[int, np.ndarray] = {}
+        self._candidate_cache: dict[int, _CandidateEntry] = {}
         self._candidate_epoch = -1
+        # Consumer blocks ride on cached candidate entries, so they need
+        # a cacheable matchmaker; only preference-mode intentions are a
+        # function of (consumer, candidate set) alone.
+        self._consumer_blocks = (
+            self._matchmaker_cacheable
+            and config.consumer_intention_mode == "preference"
+        )
         # Per-query scratch reused across arrivals so the hot loop stops
         # allocating full-population intermediates (the ring log copies
         # what it stores, so reuse is safe).
@@ -578,7 +632,7 @@ class MediatorSimulation:
     # per-query processing
     # ------------------------------------------------------------------
 
-    def _candidate_entry(self, query) -> tuple[np.ndarray, np.ndarray]:
+    def _candidate_entry(self, query) -> _CandidateEntry:
         """(candidates, their capacities) for ``query``, cached between
         departures.
 
@@ -586,15 +640,18 @@ class MediatorSimulation:
         equals ``matchmaker.candidates(query, active)`` recomputed fresh
         — the cache is keyed by query class and dropped whenever the
         provider pool's epoch (bumped on every ``deactivate``) moves.
-        The capacity gather rides along because it depends only on the
-        candidate set.  Callers must treat both arrays as read-only.
+        The capacity gather and the consumer block ride along because
+        they depend only on the candidate set.  Callers must treat every
+        array of the entry as read-only.
         """
         if not self._matchmaker_cacheable:
             self._candidate_misses += 1
             candidates = self._matchmaker.candidates(
                 query, self.providers.active
             )
-            return candidates, self.capacity.rates[candidates]
+            return _CandidateEntry(
+                (candidates, self.capacity.rates[candidates])
+            )
         epoch = self.providers.epoch
         if epoch != self._candidate_epoch:
             self._candidate_cache.clear()
@@ -610,13 +667,15 @@ class MediatorSimulation:
             # equal entry keeps one array *object* per epoch, which the
             # downstream identity-keyed caches (preference bands,
             # utilization denominators, ring-log lockstep) rely on to
-            # hit across query classes.
+            # hit across query classes, and one consumer block.
             for existing in self._candidate_cache.values():
                 if np.array_equal(existing[0], candidates):
                     entry = existing
                     break
             else:
-                entry = (candidates, self.capacity.rates[candidates])
+                entry = _CandidateEntry(
+                    (candidates, self.capacity.rates[candidates])
+                )
             self._candidate_cache[query.klass] = entry
         else:
             self._candidate_hits += 1
@@ -641,7 +700,8 @@ class MediatorSimulation:
         audit = self._audit
         if audit is not None:
             hits_before = self._candidate_hits
-        candidates, capacities = self._candidate_entry(query)
+        entry = self._candidate_entry(query)
+        candidates, capacities = entry
         if acc is not None:
             now = perf_counter()
             acc["candidate_lookup"] += now - mark
@@ -681,7 +741,13 @@ class MediatorSimulation:
             provider_pref_satisfaction,
             epsilon=config.epsilon,
         )
-        consumer_intentions = self._consumer_intentions(consumer, candidates)
+        block = self._consumer_block(entry)
+        if block is not None:
+            consumer_intentions = block.intentions[consumer]
+        else:
+            consumer_intentions = self._consumer_intentions(
+                consumer, candidates
+            )
 
         consumer_satisfaction = self.consumers.satisfaction_of(consumer)
         provider_satisfactions = self.providers.satisfactions_of(
@@ -708,7 +774,7 @@ class MediatorSimulation:
         )
         if acc is not None:
             now = perf_counter()
-            acc["scoring"] += now - mark
+            acc["intentions"] += now - mark
             mark = now
 
         positions = np.asarray(self.method.select(request), dtype=np.int64)
@@ -716,27 +782,43 @@ class MediatorSimulation:
         selected = candidates[positions]
         if acc is not None:
             now = perf_counter()
-            acc["ranking"] += now - mark
+            acc["selection"] += now - mark
             mark = now
 
         completions = self.queues.assign(selected, query.cost_units, time)
         response = self.queues.response_time(completions, time)
         self._record_response(response, time)
         self.utilization.assign(selected, query.cost_units, assume_unique=True)
+        if acc is not None:
+            now = perf_counter()
+            acc["queueing"] += now - mark
+            mark = now
 
         # --- satisfaction model updates -------------------------------
         # Clips land in preallocated scratch (the pools copy what they
-        # store, so the buffers can be reused next arrival).
+        # store, so the buffers can be reused next arrival); a consumer
+        # block holds the consumer's clip and adequation already.
         n_candidates = candidates.size
-        # min/max pair == np.clip without its dispatch wrapper.
-        ci_clipped = self._ci_clip_scratch[:n_candidates]
-        np.maximum(consumer_intentions, -1.0, out=ci_clipped)
-        np.minimum(ci_clipped, 1.0, out=ci_clipped)
-        adequation = query_adequation(ci_clipped)
+        if block is not None:
+            ci_clipped = block.clipped[consumer]
+            adequation = block.adequations.get(consumer)
+            if adequation is None:
+                adequation = query_adequation(ci_clipped)
+                block.adequations[consumer] = adequation
+        else:
+            # min/max pair == np.clip without its dispatch wrapper.
+            ci_clipped = self._ci_clip_scratch[:n_candidates]
+            np.maximum(consumer_intentions, -1.0, out=ci_clipped)
+            np.minimum(ci_clipped, 1.0, out=ci_clipped)
+            adequation = query_adequation(ci_clipped)
         satisfaction = query_satisfaction(
             ci_clipped[positions], query.n_desired
         )
         self.consumers.record_query(consumer, adequation, satisfaction)
+        if acc is not None:
+            now = perf_counter()
+            acc["consumer_update"] += now - mark
+            mark = now
 
         performed = self._performed_scratch[:n_candidates]
         performed[:] = False
@@ -753,7 +835,7 @@ class MediatorSimulation:
         self._queries_served += 1
         if acc is not None:
             now = perf_counter()
-            acc["log_push"] += now - mark
+            acc["provider_update"] += now - mark
             self._dispatch_stride += 1
             if self._dispatch_stride % _DISPATCH_SAMPLE_STRIDE == 0:
                 self._telemetry.observe("engine.dispatch_s", now - started)
@@ -778,9 +860,22 @@ class MediatorSimulation:
                 satisfaction=satisfaction,
             )
 
+    def _consumer_block(self, entry: _CandidateEntry) -> _ConsumerBlock | None:
+        """``entry``'s consumer block, built on first use; ``None`` when
+        intentions are computed per query (formula mode, or a matchmaker
+        whose entries are not cached)."""
+        if not self._consumer_blocks:
+            return None
+        block = entry.consumer_block
+        if block is None:
+            block = _ConsumerBlock(self.consumer_prefs.matrix, entry[0])
+            entry.consumer_block = block
+        return block
+
     def _consumer_intentions(
         self, consumer: int, candidates: np.ndarray
     ) -> np.ndarray:
+        """Per-query ``CI_q`` (the path without a consumer block)."""
         config = self.config
         preferences = self.consumer_prefs.for_consumer(consumer, candidates)
         if config.consumer_intention_mode == "preference":

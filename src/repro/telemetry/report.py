@@ -27,12 +27,16 @@ __all__ = [
 ]
 
 #: Engine phases in hot-path order; the report lists them this way.
+#: Mirrors ``repro.simulation.engine.ENGINE_PHASES`` (telemetry may not
+#: import the engine; a test pins the two equal).
 PHASE_ORDER = (
     "arrival",
     "candidate_lookup",
-    "scoring",
-    "ranking",
-    "log_push",
+    "intentions",
+    "selection",
+    "queueing",
+    "consumer_update",
+    "provider_update",
 )
 
 _QUANTILE_KEYS = ("p50_s", "p90_s", "p99_s")

@@ -94,9 +94,11 @@ class TestRunPerf:
         assert set(phases) == {
             "arrival",
             "candidate_lookup",
-            "scoring",
-            "ranking",
-            "log_push",
+            "intentions",
+            "selection",
+            "queueing",
+            "consumer_update",
+            "provider_update",
         }
         assert all(seconds >= 0.0 for seconds in phases.values())
         assert sum(phases.values()) > 0.0

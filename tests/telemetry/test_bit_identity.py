@@ -18,6 +18,7 @@ from repro.simulation.config import DepartureRules, WorkloadSpec, tiny_config
 from repro.simulation.engine import ENGINE_PHASES, run_simulation
 from repro.simulation.trace import record_trace, replay_config
 from repro.telemetry.registry import telemetry_session
+from repro.telemetry.report import PHASE_ORDER
 
 #: Frozen in tests/experiments/test_golden.py before telemetry existed;
 #: duplicated (not imported — test packages are path-independent) so an
@@ -70,8 +71,9 @@ def test_enabled_and_disabled_runs_are_bit_identical(
             for event in telemetry.events
             if event["kind"] == "phase"
         }
-    # Live and replayed runs time the same work: every phase ran.
-    assert set(phases) == set(ENGINE_PHASES)
+    # Live and replayed runs time the same work: every phase ran, in
+    # the engine's order, which the report's mirror list repeats.
+    assert tuple(phases) == ENGINE_PHASES == PHASE_ORDER
     assert all(seconds > 0.0 for seconds in phases.values()), phases
     assert _fingerprint(enabled) == _fingerprint(disabled)
 

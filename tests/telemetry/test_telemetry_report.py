@@ -31,12 +31,12 @@ class TestAggregation:
         flush_process(
             tmp_path,
             pid_counters={},
-            phases=[("log_push", 3.0), ("arrival", 1.0)],
+            phases=[("provider_update", 3.0), ("arrival", 1.0)],
         )
         report = telemetry_report(tmp_path)
         assert [row["phase"] for row in report["phases"]] == [
             "arrival",
-            "log_push",
+            "provider_update",
         ]
         assert report["phases"][0]["share"] == pytest.approx(0.25)
         assert report["phases"][1]["share"] == pytest.approx(0.75)
