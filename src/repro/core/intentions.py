@@ -73,11 +73,12 @@ def _two_branch_product(
     also keeps the unused branch's zero bases out of ``np.power``, whose
     zero-base path is several times slower than the regular one.
 
-    Both bases must be fresh full-shape arrays; the kernel overwrites
-    them (``base_a`` becomes the result).
+    The powers never write into their own input: numpy's ``np.power``
+    in place on a one-element array can round differently (1 ulp at
+    ``3.1875 ** 0.5``) from the out-of-place call the formulas use.
     """
-    out = np.power(base_a, exponent_a, out=base_a)
-    out *= np.power(base_b, exponent_b, out=base_b)
+    out = np.power(base_a, exponent_a, out=np.empty_like(base_a))
+    out *= np.power(base_b, exponent_b)
     np.negative(out, out=out, where=~positive)
     return out
 

@@ -116,18 +116,26 @@ PERF_MATRIX: tuple[PerfCell, ...] = (
 )
 
 
-def _phase_breakdown(config, method: str, seed: int) -> dict[str, float]:
-    """Per-phase engine seconds from one instrumented pass.
+def _phase_breakdown(
+    config, method: str, seed: int
+) -> tuple[dict[str, float], dict[str, float | None]]:
+    """Per-phase engine seconds, and µs per issued query, from one
+    instrumented pass.
 
     Runs under a scoped in-memory telemetry session so the pass leaves
     no files behind and the process-wide registry state is untouched.
+    The per-query figures divide by that pass's ``queries_issued``
+    (``None`` when it issued nothing).
     """
     with telemetry_session() as telemetry:
-        run_simulation(config, method, seed=seed)
-        return {
-            name: round(seconds, 4)
-            for name, seconds in sorted(telemetry.phase_seconds().items())
-        }
+        issued = run_simulation(config, method, seed=seed).queries_issued
+        totals = sorted(telemetry.phase_seconds().items())
+    seconds = {name: round(total, 4) for name, total in totals}
+    us_per_query = {
+        name: round(total * 1e6 / issued, 3) if issued else None
+        for name, total in totals
+    }
+    return seconds, us_per_query
 
 
 def run_perf(
@@ -149,7 +157,8 @@ def run_perf(
 
     ``phases`` (default on) adds one *extra* instrumented pass per
     (cell, method) and records its per-phase engine-time breakdown under
-    the cell's ``phases`` key.  The timed repeats above stay
+    the cell's ``phases`` key (seconds) and ``phases_us_per_query`` (the
+    same seconds in µs per query that pass issued).  The timed repeats above stay
     uninstrumented either way, so enabling the breakdown cannot move the
     qps numbers the regression gate compares.
     """
@@ -178,7 +187,9 @@ def run_perf(
                 "qps": round(queries / best_elapsed, 1),
             }
             if phases:
-                payload["phases"] = _phase_breakdown(config, method, seed)
+                payload["phases"], payload["phases_us_per_query"] = (
+                    _phase_breakdown(config, method, seed)
+                )
             cells[f"{cell.name}/{method}"] = payload
             total_queries += queries
             total_seconds += best_elapsed

@@ -217,7 +217,6 @@ class RowRingLog:
         self._count_performed = np.zeros(self._rows, dtype=np.int64)
         self._pushes = 0
         self._generation = 0
-        self._empty_rows = np.empty(0, dtype=np.int64)
         self._arange = np.arange(self._rows)
         # Identity cache: the last rows array verified to be arange(rows)
         # (callers like the engine reuse one cached candidates array, so
@@ -227,10 +226,9 @@ class RowRingLog:
         # row currently sits at while the whole bank advances together
         # (None once any partial push breaks global lockstep); _all_full
         # latches once every window has filled — counts never decrease,
-        # so from then on eviction bookkeeping needs no masks.
+        # so from then on pushes skip the count update.
         self._uniform_slot: int | None = 0
         self._all_full = False
-        self._dirty_mask: np.ndarray | None = None
         # Push-path tallies (telemetry reads these; plain ints, always
         # maintained — they never feed back into the simulation).
         self.uniform_pushes = 0
@@ -276,12 +274,12 @@ class RowRingLog:
         """Per-row number of remembered *performed* interactions (copy)."""
         return self._count_performed.copy()
 
-    def push(
+    def push_positions(
         self,
         row_indices: np.ndarray,
-        values: dict[str, np.ndarray],
-        performed: np.ndarray,
-    ) -> np.ndarray:
+        values: Sequence[np.ndarray],
+        performed: Sequence[int],
+    ) -> list[int]:
         """Record one interaction for each row in ``row_indices``.
 
         Parameters
@@ -293,53 +291,86 @@ class RowRingLog:
             which silently drops duplicate contributions (no error is
             raised), corrupting every mean until the next resync.
         values:
-            Mapping from channel name to a float array aligned with
-            ``row_indices``.
+            One float array per channel, in channel order, each
+            aligned with ``row_indices``.
         performed:
-            Boolean array aligned with ``row_indices``; ``True`` where the
-            row actually performed the interaction (for providers: the
-            query was allocated to them).
+            Positions into ``row_indices`` of the rows that actually
+            performed the interaction (for providers: the query was
+            allocated to them).  They must be distinct and in range —
+            unlike a boolean mask, a list of positions could count a
+            row twice — or ``ValueError`` is raised.
 
         Returns
         -------
-        numpy.ndarray
-            The subset of ``row_indices`` whose *performed* running sums
-            changed — rows that performed this interaction or evicted a
-            performed one.  (Every pushed row's whole-window sums change,
-            so there is no point reporting those.)  Callers maintaining
-            performed-mean caches only need to refresh these rows.
+        list[int]
+            The rows whose *performed* running sums changed — rows that
+            performed this interaction or evicted a performed one —
+            each once, in no particular order.  (Every pushed row's
+            whole-window sums change, so there is no point reporting
+            those.)  Callers maintaining performed-mean caches only
+            need to refresh these rows.
         """
         rows = np.asarray(row_indices, dtype=np.int64)
-        if rows.size == 0:
-            return self._empty_rows
+        n_rows = rows.size
+        if isinstance(performed, np.ndarray):
+            if performed.dtype == bool:
+                raise TypeError("performed must be positions, not a mask")
+            performed = performed.tolist()
+        if len(performed) == 1:
+            if not 0 <= performed[0] < n_rows:
+                raise ValueError("performed position out of range")
+        elif performed:
+            if min(performed) < 0 or max(performed) >= n_rows:
+                raise ValueError("performed position out of range")
+            if len(set(performed)) != len(performed):
+                raise ValueError("performed positions contain duplicates")
+        if len(values) != len(self._channels):
+            raise ValueError(
+                f"expected {len(self._channels)} channel arrays, "
+                f"got {len(values)}"
+            )
+        for name, value in zip(self._channels, values):
+            if np.shape(value) != rows.shape:
+                raise ValueError(f"channel {name!r} must align with row_indices")
+        if n_rows == 0:
+            return []
+
+        if n_rows == 1:
+            row = int(rows[0])
+            moved = self._apply_scalar_push(
+                row, [value[0] for value in values], bool(performed)
+            )
+            dirty = [row] if moved else []
+        else:
+            dirty = self._push_many(rows, values, performed)
+
+        self._pushes += 1
+        if self._pushes % _RESYNC_INTERVAL == 0:
+            self._resync()
+        return dirty
+
+    def push(
+        self,
+        row_indices: np.ndarray,
+        values: dict[str, np.ndarray],
+        performed: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`push_positions` with channels by name and a boolean
+        ``performed`` mask aligned with ``row_indices``; returns the
+        dirty rows as an array, in ``row_indices`` order."""
+        rows = np.asarray(row_indices, dtype=np.int64)
         performed = np.asarray(performed, dtype=bool)
         if performed.shape != rows.shape:
             raise ValueError("performed must align with row_indices")
         if values.keys() != self._channel_set:
             missing = set(self._channels) ^ set(values)
             raise ValueError(f"channel mismatch: {sorted(missing)}")
-
-        if rows.size == 1:
-            dirty = self._push_one(int(rows[0]), values, bool(performed[0]))
-            dirty_rows = rows if dirty else self._empty_rows
-        else:
-            dirty_rows = self._push_many(rows, values, performed)
-
-        self._pushes += 1
-        if self._pushes % _RESYNC_INTERVAL == 0:
-            self._resync()
-        return dirty_rows
-
-    def _stack_values(
-        self, values: dict[str, np.ndarray], shape: tuple[int, ...]
-    ) -> np.ndarray:
-        stacked = np.empty(shape + (len(self._channels),), dtype=float)
-        for name, index in self._channel_index.items():
-            new = np.asarray(values[name], dtype=float)
-            if new.shape != shape:
-                raise ValueError(f"channel {name!r} must align with row_indices")
-            stacked[..., index] = new
-        return stacked
+        dirty = self.push_positions(
+            rows,
+            [values[name] for name in self._channels],
+            np.flatnonzero(performed).tolist(),
+        )
+        return rows[np.isin(rows, dirty)]
 
     def _is_all_rows(self, rows: np.ndarray) -> bool:
         if rows.size != self._rows:
@@ -351,152 +382,121 @@ class RowRingLog:
             return True
         return False
 
+    # Every push path below relies on one invariant of the ring: a slot
+    # a row has not written yet (its window is not full) holds +0.0 in
+    # every channel and no performed flag.  "Evicting" such a slot
+    # therefore subtracts +0.0 — exactly what a full-mask select would
+    # subtract — and finds no performed entry, so no path needs a
+    # window-full mask, and the slot's flags alone name the performed
+    # evictions.  Each path evicts before it adds, per row, so the
+    # running sums stay bit-identical whichever path a push takes.
+
     def _push_many(
         self,
         rows: np.ndarray,
-        values: dict[str, np.ndarray],
-        performed: np.ndarray,
-    ) -> np.ndarray:
-        new = self._stack_values(values, rows.shape)
+        values: Sequence[np.ndarray],
+        performed: Sequence[int],
+    ) -> list[int]:
         all_rows = self._is_all_rows(rows)
         if all_rows and self._uniform_slot is not None:
             # Global lockstep: the slot is known without touching _pos.
-            self._push_uniform_slot(
-                rows, self._uniform_slot, new, performed, all_rows=True
-            )
-            return rows[self._dirty_mask]
+            return self._push_lockstep(self._uniform_slot, values, performed)
         pos = self._pos if all_rows else self._pos[rows]
-        slot = pos[0]
+        slot = int(pos[0])
         if (pos == slot).all():
-            self._push_uniform_slot(
-                rows, int(slot), new, performed, all_rows=all_rows
-            )
-            return rows[self._dirty_mask]
+            if all_rows:
+                return self._push_lockstep(slot, values, performed)
+            self.uniform_pushes += 1
+        else:
+            self.scattered_pushes += 1
         self._uniform_slot = None
-        return self._push_scattered(rows, pos, new, performed)
+        return self._push_rows(rows, pos, values, performed)
 
-    def _push_uniform_slot(
+    def _push_lockstep(
         self,
-        rows: np.ndarray,
         slot: int,
-        new: np.ndarray,
-        performed: np.ndarray,
-        all_rows: bool,
-    ) -> None:
-        # All pushed rows share one ring slot (they have been pushed in
-        # lockstep since construction — the universal-matchmaker hot
-        # path, including after departures shrink the set).  One
-        # contiguous plane holds every outgoing and incoming value, so
-        # the whole-window update is a handful of dense (rows x channels)
-        # operations with no scatter machinery at all, and the performed
-        # one touches only the rows it moves.  Once every window is full
-        # the eviction masks collapse (full ≡ True) and the whole update
-        # shrinks further.  The order of the sum updates (evict old,
-        # then add new) matches the scattered path, so the running sums
-        # stay bit-identical whichever path a push takes.
+        values: Sequence[np.ndarray],
+        performed: Sequence[int],
+    ) -> list[int]:
+        # Every row sits at ``slot`` (they have been pushed in lockstep
+        # since construction — the universal-matchmaker hot path), so
+        # one contiguous plane holds every outgoing and incoming value:
+        # the whole-window update is two dense (rows x channels)
+        # operations, the channels are written straight into the plane,
+        # and the performed sums move only on the rows that evict a
+        # performed entry or perform this push (row == position here).
         self.uniform_pushes += 1
         plane = self._data[slot]
-        performed_plane = self._performed[slot]
-        capacity = self._capacity
-        if all_rows:
-            old = plane  # live view: consumed before the overwrite below
-            if self._all_full:
-                old_performed = performed_plane  # live view, same caveat
-                self._sum_all -= old
-            else:
-                full = self._count == capacity
-                old_performed = performed_plane & full
-                self._sum_all -= np.where(full[:, None], old, 0.0)
-            self._dirty_mask = performed | old_performed
-            self._move_performed(rows, old, old_performed, new, performed)
-            plane[...] = new
-            self._sum_all += new
-            performed_plane[...] = performed
-            if not self._all_full:
-                np.minimum(self._count + 1, capacity, out=self._count)
-                if bool((self._count == capacity).all()):
-                    self._all_full = True
-            self._pos[...] = (slot + 1) % capacity
-            self._uniform_slot = (slot + 1) % capacity
-        else:
-            old = plane[rows]
-            if self._all_full:
-                old_performed = performed_plane[rows]
-                self._sum_all[rows] -= old
-            else:
-                full = self._count[rows] == capacity
-                old_performed = performed_plane[rows] & full
-                self._sum_all[rows] -= np.where(full[:, None], old, 0.0)
-            self._dirty_mask = performed | old_performed
-            self._move_performed(rows, old, old_performed, new, performed)
-            plane[rows] = new
-            self._sum_all[rows] += new
-            performed_plane[rows] = performed
-            if not self._all_full:
-                self._count[rows] = np.minimum(
-                    self._count[rows] + 1, capacity
-                )
-                if bool((self._count == capacity).all()):
-                    self._all_full = True
-            self._pos[rows] = (slot + 1) % capacity
-            self._uniform_slot = None
-
-    def _move_performed(
-        self,
-        rows: np.ndarray,
-        old: np.ndarray,
-        old_performed: np.ndarray,
-        new: np.ndarray,
-        performed: np.ndarray,
-    ) -> None:
-        # Performed bookkeeping as a sparse delta: only rows that evict a
-        # performed entry or perform this push move, a handful per query,
-        # so each is updated on its own (evict first, then add — the
-        # dense order).  Skipping the other rows drops their ``± 0.0``,
-        # which is the identity on every sum except -0.0 + 0.0, and a
-        # running sum is only -0.0 when every term in it is -0.0.  Must
-        # run before the ring slot is overwritten: ``old`` and
-        # ``old_performed`` may be live views of it.
+        flags = self._performed[slot]
         sums = self._sum_performed
         counts = self._count_performed
-        for index in np.flatnonzero(old_performed).tolist():
-            row = rows[index]
-            sums[row] -= old[index]
+        evicted = flags.nonzero()[0].tolist()
+        self._sum_all -= plane
+        for row in evicted:
+            sums[row] -= plane[row]
             counts[row] -= 1
-        for index in np.flatnonzero(performed).tolist():
-            row = rows[index]
-            sums[row] += new[index]
+            flags[row] = False
+        for index, value in enumerate(values):
+            plane[:, index] = value
+        self._sum_all += plane
+        for row in performed:
+            sums[row] += plane[row]
             counts[row] += 1
+            flags[row] = True
+        self._advance_counts(None)
+        next_slot = (slot + 1) % self._capacity
+        self._pos.fill(next_slot)
+        self._uniform_slot = next_slot
+        return _union(evicted, performed)
 
-    def _push_scattered(
+    def _push_rows(
         self,
         rows: np.ndarray,
         pos: np.ndarray,
-        new: np.ndarray,
-        performed: np.ndarray,
-    ) -> np.ndarray:
-        # General path: rows sit at different ring positions.  Rows are
-        # distinct (see the push docstring), so plain fancy indexing
-        # accumulates exactly like a duplicate-safe ufunc.at scatter
-        # would, without its overhead.
-        self.scattered_pushes += 1
-        full = self._count[rows] == self._capacity
-        old_performed = self._performed[pos, rows] & full
-
+        values: Sequence[np.ndarray],
+        performed: Sequence[int],
+    ) -> list[int]:
+        # Row ``rows[i]`` writes its slot ``pos[i]``: a row subset still
+        # in lockstep (the rows left after departures) or rows at
+        # different slots (scattered) — the same pairwise fancy
+        # indexing.  Rows are distinct (see push_positions), so it
+        # accumulates exactly like a duplicate-safe ufunc.at scatter.
         old = self._data[pos, rows]
-        # Evict the outgoing entry from both running sums, then add the
-        # incoming one; the channel axis rides along contiguously.
-        self._sum_all[rows] -= np.where(full[:, None], old, 0.0)
-        self._move_performed(rows, old, old_performed, new, performed)
-        self._data[pos, rows] = new
+        evicted = self._performed[pos, rows].nonzero()[0].tolist()
+        sums = self._sum_performed
+        counts = self._count_performed
+        self._sum_all[rows] -= old
+        for index in evicted:
+            row = rows[index]
+            sums[row] -= old[index]
+            counts[row] -= 1
+        for index, value in enumerate(values):
+            self._data[pos, rows, index] = value
+        new = self._data[pos, rows]
         self._sum_all[rows] += new
-        self._performed[pos, rows] = performed
-        if not self._all_full:
+        for index in performed:
+            row = rows[index]
+            sums[row] += new[index]
+            counts[row] += 1
+        self._performed[pos, rows] = False
+        self._performed[pos[performed], rows[performed]] = True
+        self._advance_counts(rows)
+        self._pos[rows] = (pos + 1) % self._capacity
+        return rows[_union(evicted, performed)].tolist()
+
+    def _advance_counts(self, rows: np.ndarray | None) -> None:
+        # Window fill grows by one per push until every window is full;
+        # counts never decrease, so _all_full latches for good.
+        if self._all_full:
+            return
+        if rows is None:
+            np.minimum(self._count + 1, self._capacity, out=self._count)
+        else:
             self._count[rows] = np.minimum(
                 self._count[rows] + 1, self._capacity
             )
-        self._pos[rows] = (pos + 1) % self._capacity
-        return rows[performed | old_performed]
+        if bool((self._count == self._capacity).all()):
+            self._all_full = True
 
     def push_scalar(
         self, row: int, values: Sequence[float], performed: bool
@@ -506,7 +506,7 @@ class RowRingLog:
         The cheapest way to record a single participant's interaction
         (every consumer query): no index arrays, no per-channel dict of
         singleton arrays.  Arithmetic and resync cadence are identical
-        to :meth:`push` with one row.  Returns whether the performed
+        to :meth:`push_positions` with one row.  Returns whether the performed
         running sums moved (the row performed or evicted a performed
         entry).
         """
@@ -521,49 +521,41 @@ class RowRingLog:
             self._resync()
         return dirty
 
-    def _push_one(
-        self, row: int, values: dict[str, np.ndarray], performed: bool
-    ) -> bool:
-        # push() with a single row: validate the per-channel singleton
-        # arrays, then run the same scalar core as push_scalar (the
-        # push() wrapper owns the pushes/resync bookkeeping here).
-        scalars = []
-        for name in self._channels:
-            new_arr = np.asarray(values[name], dtype=float)
-            if new_arr.shape != (1,):
-                raise ValueError(f"channel {name!r} must align with row_indices")
-            scalars.append(new_arr[0])
-        return self._apply_scalar_push(row, scalars, performed)
-
     def _apply_scalar_push(
         self, row: int, values: Sequence[float], performed: bool
     ) -> bool:
-        # Scalar core shared by push_scalar and single-row push(): plain
-        # float arithmetic in the same evict-old-then-add-new order as
-        # the vector paths, so the sums stay bit-identical while
-        # skipping all the fancy indexing machinery.  Returns whether
-        # the performed sums moved.
+        # Scalar core shared by push_scalar and single-row pushes: each
+        # cell read as a Python float (an IEEE double, like the array),
+        # updated in the same evict-old-then-add-new order as the vector
+        # paths and written back, so the sums stay bit-identical while
+        # skipping the fancy indexing machinery.  Returns whether the
+        # performed sums moved.
         self.scalar_pushes += 1
-        pos = int(self._pos[row])
-        full = int(self._count[row]) == self._capacity
-        old_performed = full and bool(self._performed[pos, row])
-
+        pos = self._pos.item(row)
+        full = self._count.item(row) == self._capacity
+        old_performed = full and self._performed.item(pos, row)
+        moved = performed or old_performed
         data = self._data
         sum_all = self._sum_all
         sum_performed = self._sum_performed
         for index, value in enumerate(values):
             new = float(value)
-            old = float(data[pos, row, index])
+            old = data.item(pos, row, index)
+            total = sum_all.item(row, index)
             if full:
-                sum_all[row, index] -= old
-            if old_performed:
-                sum_performed[row, index] -= old
+                total -= old
+            sum_all[row, index] = total + new
+            if moved:
+                total = sum_performed.item(row, index)
+                if old_performed:
+                    total -= old
+                if performed:
+                    total += new
+                sum_performed[row, index] = total
             data[pos, row, index] = new
-            sum_all[row, index] += new
-            if performed:
-                sum_performed[row, index] += new
 
-        self._count_performed[row] += int(performed) - int(old_performed)
+        if performed != old_performed:
+            self._count_performed[row] += 1 if performed else -1
         self._performed[pos, row] = performed
         if not full:
             self._count[row] += 1
@@ -572,17 +564,12 @@ class RowRingLog:
             self._uniform_slot = None
         else:
             self._uniform_slot = (pos + 1) % self._capacity
-        return performed or old_performed
+        return moved
 
     def push_all_rows(
         self, values: dict[str, np.ndarray], performed: np.ndarray
     ) -> np.ndarray:
-        """Record one interaction observed by *every* row.
-
-        This is the common case in the paper's evaluation, where every
-        provider is able to treat every query and therefore every query is
-        proposed to all of them.
-        """
+        """:meth:`push` of one interaction observed by *every* row."""
         return self.push(self._arange, values, performed)
 
     def mean_all(self, channel: str, default: float = 0.0) -> np.ndarray:
@@ -628,25 +615,22 @@ class RowRingLog:
         out[nonempty] = sums[nonempty] / counts[nonempty]
         return out
 
-    def mean_all_one(
-        self, channel: str, row: int, default: float = 0.0
-    ) -> float:
-        """:meth:`mean_all` of a single row, as a scalar."""
-        count = self._count[row]
+    def row_means(self, row: int, default: float = 0.0) -> list[float]:
+        """:meth:`mean_all` of one row, every channel in channel order,
+        as Python floats (the same correctly rounded divide)."""
+        count = self._count.item(row)
         if count == 0:
-            return default
-        return float(self._sum_all[row, self._channel_index[channel]] / count)
+            return [default] * len(self._channels)
+        return [total / count for total in self._sum_all[row].tolist()]
 
-    def mean_performed_one(
-        self, channel: str, row: int, default: float = 0.0
-    ) -> float:
-        """:meth:`mean_performed` of a single row, as a scalar."""
-        count = self._count_performed[row]
+    def row_performed_means(
+        self, row: int, default: float = 0.0
+    ) -> list[float]:
+        """:meth:`mean_performed` of one row, like :meth:`row_means`."""
+        count = self._count_performed.item(row)
         if count == 0:
-            return default
-        return float(
-            self._sum_performed[row, self._channel_index[channel]] / count
-        )
+            return [default] * len(self._channels)
+        return [total / count for total in self._sum_performed[row].tolist()]
 
     def row_values(self, row: int, channel: str) -> np.ndarray:
         """The remembered values of one row/channel, oldest first."""
@@ -676,3 +660,12 @@ class RowRingLog:
             f"RowRingLog(rows={self._rows}, capacity={self._capacity}, "
             f"channels={self._channels!r})"
         )
+
+
+def _union(evicted: list[int], performed: Sequence[int]) -> list[int]:
+    """Positions in either list, each once (both are duplicate-free)."""
+    if not evicted:
+        return list(performed)
+    merged = set(evicted)
+    merged.update(performed)
+    return list(merged)

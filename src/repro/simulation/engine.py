@@ -380,7 +380,6 @@ class MediatorSimulation:
         # Per-query scratch reused across arrivals so the hot loop stops
         # allocating full-population intermediates (the ring log copies
         # what it stores, so reuse is safe).
-        self._performed_scratch = np.zeros(config.n_providers, dtype=bool)
         self._ci_clip_scratch = np.empty(config.n_providers, dtype=float)
         self._pi_clip_scratch = np.empty(config.n_providers, dtype=float)
 
@@ -641,16 +640,13 @@ class MediatorSimulation:
         — the cache is keyed by query class and dropped whenever the
         provider pool's epoch (bumped on every ``deactivate``) moves.
         The capacity gather and the consumer block ride along because
-        they depend only on the candidate set.  Callers must treat every
-        array of the entry as read-only.
+        they depend only on the candidate set.  Every array of the
+        entry is read-only.
         """
         if not self._matchmaker_cacheable:
             self._candidate_misses += 1
-            candidates = self._matchmaker.candidates(
-                query, self.providers.active
-            )
-            return _CandidateEntry(
-                (candidates, self.capacity.rates[candidates])
+            return self._new_entry(
+                self._matchmaker.candidates(query, self.providers.active)
             )
         epoch = self.providers.epoch
         if epoch != self._candidate_epoch:
@@ -673,13 +669,22 @@ class MediatorSimulation:
                     entry = existing
                     break
             else:
-                entry = _CandidateEntry(
-                    (candidates, self.capacity.rates[candidates])
-                )
+                entry = self._new_entry(candidates)
             self._candidate_cache[query.klass] = entry
         else:
             self._candidate_hits += 1
         return entry
+
+    def _new_entry(self, candidates: np.ndarray) -> _CandidateEntry:
+        # Read-only: the entry is shared by every query of its class,
+        # and the identity-keyed caches downstream (ring-log lockstep,
+        # preference bands, utilisation denominators) trust its arrays
+        # never to change, so a method writing into
+        # ``request.candidates`` or ``request.capacities`` must fail.
+        capacities = self.capacity.rates[candidates]
+        candidates.flags.writeable = False
+        capacities.flags.writeable = False
+        return _CandidateEntry((candidates, capacities))
 
     def _candidates(self, query) -> np.ndarray:
         """The candidate set for ``query`` (see :meth:`_candidate_entry`)."""
@@ -778,8 +783,12 @@ class MediatorSimulation:
             mark = now
 
         positions = np.asarray(self.method.select(request), dtype=np.int64)
-        self._validate_selection(positions, request)
-        selected = candidates[positions]
+        # Everything downstream records the allocation through the q.n
+        # selected positions, as Python ints: one scalar step per
+        # selected provider instead of candidate-width masks.
+        picks = positions.tolist()
+        self._validate_selection(picks, request)
+        selected = candidates[positions].tolist()
         if acc is not None:
             now = perf_counter()
             acc["selection"] += now - mark
@@ -788,7 +797,7 @@ class MediatorSimulation:
         completions = self.queues.assign(selected, query.cost_units, time)
         response = self.queues.response_time(completions, time)
         self._record_response(response, time)
-        self.utilization.assign(selected, query.cost_units, assume_unique=True)
+        self.utilization.assign(selected, query.cost_units)
         if acc is not None:
             now = perf_counter()
             acc["queueing"] += now - mark
@@ -820,9 +829,6 @@ class MediatorSimulation:
             acc["consumer_update"] += now - mark
             mark = now
 
-        performed = self._performed_scratch[:n_candidates]
-        performed[:] = False
-        performed[positions] = True
         pi_clipped = self._pi_clip_scratch[:n_candidates]
         np.maximum(provider_intentions, -1.0, out=pi_clipped)
         np.minimum(pi_clipped, 1.0, out=pi_clipped)
@@ -830,7 +836,7 @@ class MediatorSimulation:
             candidates,
             intentions=pi_clipped,
             preferences=provider_preferences,
-            performed=performed,
+            selected=picks,
         )
         self._queries_served += 1
         if acc is not None:
@@ -893,26 +899,22 @@ class MediatorSimulation:
 
     @staticmethod
     def _validate_selection(
-        positions: np.ndarray, request: AllocationRequest
+        picks: list[int], request: AllocationRequest
     ) -> None:
         expected = request.n_to_select
-        if positions.size != expected:
+        if len(picks) != expected:
             raise ValueError(
-                f"method {request.query.qid}: selected {positions.size} "
+                f"method {request.query.qid}: selected {len(picks)} "
                 f"providers, expected {expected}"
             )
-        if positions.size == 1:
-            # Fast path for the paper's q.n = 1: no duplicate check (a
-            # singleton cannot repeat) and scalar range comparisons.
-            position = positions[0]
-            if position < 0 or position >= request.n_candidates:
+        if len(picks) == 1:
+            # The paper's q.n = 1: a singleton cannot repeat.
+            if not 0 <= picks[0] < request.n_candidates:
                 raise ValueError("selection out of candidate range")
             return
-        if positions.size and (
-            positions.min() < 0 or positions.max() >= request.n_candidates
-        ):
+        if picks and (min(picks) < 0 or max(picks) >= request.n_candidates):
             raise ValueError("selection out of candidate range")
-        if np.unique(positions).size != positions.size:
+        if len(set(picks)) != len(picks):
             raise ValueError("selection contains duplicates")
 
     def _record_response(self, response: float, time: float) -> None:

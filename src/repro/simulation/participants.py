@@ -27,6 +27,8 @@ random interaction traces.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.model.memory import RowRingLog
@@ -138,13 +140,10 @@ class ConsumerPool:
     def _refresh_one(self, consumer: int) -> None:
         # Scalar refresh of one dirty row; min/max is the scalar clip
         # (the means are never NaN), so the values match _refresh_all.
-        adequation = self._log.mean_all_one(
-            "adequation", consumer, default=self._initial
+        adequation, satisfaction = self._log.row_means(
+            consumer, default=self._initial
         )
         self._adequation_view[consumer] = min(max(adequation, 0.0), 1.0)
-        satisfaction = self._log.mean_all_one(
-            "satisfaction", consumer, default=self._initial
-        )
         self._satisfaction_view[consumer] = min(max(satisfaction, 0.0), 1.0)
 
     def adequations(self) -> np.ndarray:
@@ -209,13 +208,11 @@ class ProviderPool:
         # initial satisfaction after the (x+1)/2 rescale.  A non-0.5
         # initial value seeds the equivalent constant instead.
         seed_value = 2.0 * self._initial - 1.0
+        seed_values = np.full(n_providers, seed_value)
+        everyone = range(n_providers)
         for _ in range(warm_start_entries):
-            self._log.push_all_rows(
-                {
-                    "intention": np.full(n_providers, seed_value),
-                    "preference": np.full(n_providers, seed_value),
-                },
-                performed=np.ones(n_providers, dtype=bool),
+            self._log.push_positions(
+                np.arange(n_providers), (seed_values, seed_values), everyone
             )
         self._refresh_all()
 
@@ -263,17 +260,18 @@ class ProviderPool:
         providers: np.ndarray,
         intentions: np.ndarray,
         preferences: np.ndarray,
-        performed: np.ndarray,
+        selected: Sequence[int],
     ) -> None:
         """Push one proposed query into the given providers' windows.
 
         ``intentions`` must already be clipped to ``[-1, 1]`` (the
         Section 2 range the satisfaction model is defined over).
+        ``selected`` holds the positions into ``providers`` of the
+        providers that performed the query (``q.n`` of them); they must
+        be distinct and in range, or ``ValueError`` is raised.
         """
-        dirty = self._log.push(
-            providers,
-            {"intention": intentions, "preference": preferences},
-            performed=performed,
+        dirty = self._log.push_positions(
+            providers, (intentions, preferences), selected
         )
         if self._log.generation != self._generation:
             self._refresh_all()
@@ -285,7 +283,7 @@ class ProviderPool:
         # query or evicted a performed entry — so the satisfaction
         # views, read on every arrival, refresh only those.
         self._adequation_stale = True
-        if dirty.size:
+        if dirty:
             self._refresh_satisfaction_rows(dirty)
 
     def push_stats(self) -> dict[str, int]:
@@ -315,22 +313,21 @@ class ProviderPool:
             )
         self._adequation_stale = False
 
-    def _refresh_satisfaction_rows(self, rows: np.ndarray) -> None:
-        if rows.size <= 8:
+    def _refresh_satisfaction_rows(self, rows: list[int]) -> None:
+        if len(rows) <= 8:
             # The dirty set is almost always just the selected provider
             # plus the odd performed-entry eviction: scalar arithmetic
             # (min/max is the scalar clip; the means are never NaN)
-            # beats assembling masked subset arrays.
+            # beats assembling masked subset arrays.  The log's channel
+            # order is _BASES.
             log = self._log
+            views = [self._satisfaction_views[basis] for basis in self._BASES]
             for row in rows:
-                index = int(row)
-                for basis in self._BASES:
-                    mean = log.mean_performed_one(basis, index, default=-1.0)
-                    value = (mean + 1.0) / 2.0
-                    self._satisfaction_views[basis][index] = min(
-                        max(value, 0.0), 1.0
-                    )
+                means = log.row_performed_means(row, default=-1.0)
+                for view, mean in zip(views, means):
+                    view[row] = min(max((mean + 1.0) / 2.0, 0.0), 1.0)
             return
+        rows = np.asarray(rows, dtype=np.int64)
         for basis in self._BASES:
             means = self._log.mean_performed_rows(basis, rows, default=-1.0)
             self._satisfaction_views[basis][rows] = np.clip(

@@ -16,6 +16,8 @@ the *last* selected provider finishes.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 __all__ = ["ProviderQueues"]
@@ -72,44 +74,37 @@ class ProviderQueues:
         return wait + service
 
     def assign(
-        self, providers: np.ndarray, cost_units: float, now: float
-    ) -> np.ndarray:
+        self, providers: Sequence[int], cost_units: float, now: float
+    ) -> list[float]:
         """Enqueue one query at each selected provider.
 
-        Returns the per-provider completion times.  The same query going
-        to several providers (``q.n > 1``) is executed independently by
-        each of them.
+        Returns the per-provider completion times, in ``providers``
+        order.  The same query going to several providers (``q.n > 1``)
+        is executed independently by each of them: one scalar step per
+        provider, each IEEE operation the same as its vector lane.
         """
-        providers = np.asarray(providers, dtype=np.int64)
-        if providers.size == 0:
+        if not len(providers):
             raise ValueError("cannot assign a query to zero providers")
         if cost_units <= 0:
             raise ValueError(f"cost must be positive, got {cost_units}")
-        if providers.size == 1:
-            # Scalar path for the paper's q.n = 1 (identical arithmetic:
-            # the conditional is max(), float ops are the same IEEE ops).
-            provider = providers[0]
-            busy = float(self._busy_until[provider])
+        busy_until = self._busy_until
+        completions = []
+        for provider in providers:
+            busy = float(busy_until[provider])
             start = busy if busy > now else now
             service = cost_units / float(self._capacities[provider])
             completion = start + service
-            self._busy_until[provider] = completion
+            busy_until[provider] = completion
             self._completed[provider] += 1
             self._busy_time[provider] += service
-            return np.array([completion])
-        starts = np.maximum(self._busy_until[providers], now)
-        service = cost_units / self._capacities[providers]
-        completions = starts + service
-        self._busy_until[providers] = completions
-        self._completed[providers] += 1
-        self._busy_time[providers] += service
+            completions.append(completion)
         return completions
 
-    def response_time(self, completions: np.ndarray, issued_at: float) -> float:
+    def response_time(
+        self, completions: Sequence[float], issued_at: float
+    ) -> float:
         """Consumer-observed response time for one query's completions."""
-        if completions.size == 1:
-            return float(completions[0] - issued_at)
-        return float(np.max(completions) - issued_at)
+        return float(max(completions) - issued_at)
 
     def completed_counts(self) -> np.ndarray:
         """Number of queries each provider has been assigned (copy)."""

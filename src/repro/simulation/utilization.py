@@ -14,10 +14,12 @@ a provider is assigned more than it can absorb — the regime Definition 8
 and Figure 4(g) need to express.
 
 The window is discretised into bins so the tracker is O(providers) per
-advance and O(assigned) per update, fully vectorised.
+advance (vectorised) and O(assigned) scalar steps per update.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -97,41 +99,18 @@ class UtilizationTracker:
         # Guard against drift pushing a sum slightly negative.
         np.maximum(self._row_sums, 0.0, out=self._row_sums)
 
-    def assign(
-        self,
-        providers: np.ndarray,
-        units: float | np.ndarray,
-        assume_unique: bool = False,
-    ) -> None:
+    def assign(self, providers: Sequence[int], units: float) -> None:
         """Record ``units`` of work assigned now to each given provider.
 
-        ``assume_unique=True`` lets a caller that guarantees distinct
-        provider indices (the engine validates its selection) skip the
-        duplicate-safe ``ufunc.at`` scatter for plain fancy-indexed
-        accumulation, which adds identically for distinct indices.
+        One scalar step per provider; a provider listed twice is
+        charged twice, in order.
         """
-        providers = np.asarray(providers, dtype=np.int64)
-        if providers.size == 0:
-            return
-        if assume_unique and np.ndim(units) == 0:
-            if providers.size == 1:
-                # Scalar path for single-provider assignments (q.n = 1).
-                provider = providers[0]
-                self._work[provider, self._current_bin] += units
-                self._row_sums[provider] += units
-            else:
-                self._work[providers, self._current_bin] += units
-                self._row_sums[providers] += units
-            return
-        units_arr = np.broadcast_to(
-            np.asarray(units, dtype=float), providers.shape
-        )
-        if assume_unique:
-            self._work[providers, self._current_bin] += units_arr
-            self._row_sums[providers] += units_arr
-        else:
-            np.add.at(self._work[:, self._current_bin], providers, units_arr)
-            np.add.at(self._row_sums, providers, units_arr)
+        work = self._work
+        row_sums = self._row_sums
+        current = self._current_bin
+        for provider in providers:
+            work[provider, current] += units
+            row_sums[provider] += units
 
     def utilization(self) -> np.ndarray:
         """Current ``Ut(p)`` for every provider (a fresh array)."""

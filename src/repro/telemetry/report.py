@@ -2,8 +2,8 @@
 
 A run directory holds one ``events-*.jsonl`` file per participating
 process (serial runs: one file; pool or fleet drains: several).  The
-report walks every verified event, totals the per-phase engine spans,
-merges the trailing registry snapshots, and derives the cache-efficacy
+report walks every verified event, totals the per-phase engine spans
+(also as µs per issued query), merges the trailing registry snapshots, and derives the cache-efficacy
 table the ISSUE asks for — candidate-cache hit rate, result-store hit
 rate, and the ring-log fast-path share.
 
@@ -126,11 +126,13 @@ def aggregate_events(events: list[dict]) -> dict:
         del merged["_min_seen"], merged["_q_sums"], merged["_q_counts"]
 
     phase_total = sum(phases.values())
+    issued = counters.get("engine.queries_issued", 0)
     phase_rows = [
         {
             "phase": name,
             "total_s": phases[name],
             "share": phases[name] / phase_total if phase_total else 0.0,
+            "us_per_query": phases[name] * 1e6 / issued if issued else None,
         }
         for name in (
             *(p for p in PHASE_ORDER if p in phases),
@@ -206,10 +208,12 @@ def format_telemetry_report(report: dict) -> str:
         lines.append("  phase breakdown:")
         width = max(len(row["phase"]) for row in report["phases"])
         for row in report["phases"]:
+            per_query = row["us_per_query"]
             lines.append(
                 f"    {row['phase']:<{width}}  "
                 f"{_fmt_seconds(row['total_s']):>10}  "
-                f"{row['share'] * 100.0:5.1f}%"
+                f"{row['share'] * 100.0:5.1f}%  "
+                + ("-" if per_query is None else f"{per_query:.2f}µs/query")
             )
 
     caches = report["caches"]

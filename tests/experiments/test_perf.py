@@ -103,6 +103,19 @@ class TestRunPerf:
         assert all(seconds >= 0.0 for seconds in phases.values())
         assert sum(phases.values()) > 0.0
 
+    def test_phase_breakdown_in_us_per_query(self, monkeypatch):
+        monkeypatch.setattr(perf, "PERF_MATRIX", TINY_MATRIX)
+        report = run_perf(quick=True, methods=("sqlb",))
+        cell = report["cells"]["tiny_captive/sqlb"]
+        phases, per_query = cell["phases"], cell["phases_us_per_query"]
+        assert list(per_query) == list(phases)
+        assert all(us >= 0.0 for us in per_query.values())
+        # Captive: every query is issued and served, so the instrumented
+        # pass issued ``queries``; the seconds are rounded to 0.1 ms.
+        assert sum(per_query.values()) * cell["queries"] / 1e6 == (
+            pytest.approx(sum(phases.values()), abs=1e-3)
+        )
+
     def test_no_phases_omits_the_breakdown(self, monkeypatch):
         monkeypatch.setattr(perf, "PERF_MATRIX", TINY_MATRIX)
         report = run_perf(quick=True, methods=("sqlb",), phases=False)

@@ -40,7 +40,7 @@ def starved_provider_pool(n=4, proposals=15):
             np.arange(n),
             intentions=np.full(n, 0.8),
             preferences=np.full(n, 0.8),
-            performed=np.zeros(n, dtype=bool),
+            selected=[],
         )
     return pool
 
@@ -128,13 +128,13 @@ class TestProviderDepartures:
                 np.array([0]),
                 intentions=np.array([0.5]),
                 preferences=np.array([0.5]),
-                performed=np.array([False]),
+                selected=[],
             )
             pool.record_proposals(
                 np.array([0]),
                 intentions=np.array([0.4]),
                 preferences=np.array([0.4]),
-                performed=np.array([True]),
+                selected=[0],
             )
         records = policy.check_providers(
             5.0, pool, np.array([0.8]), optimal_utilization=0.8
@@ -155,7 +155,7 @@ class TestProviderDepartures:
                 np.arange(4),
                 intentions=np.full(4, 0.5),
                 preferences=np.full(4, 0.5),
-                performed=np.ones(4, dtype=bool),
+                selected=[0, 1, 2, 3],
             )
         utilization = np.array([0.10, 0.17, 1.70, 1.80])
         records = policy.check_providers(
@@ -178,7 +178,7 @@ class TestProviderDepartures:
                 np.array([0]),
                 intentions=np.array([0.5]),
                 preferences=np.array([0.5]),
-                performed=np.array([True]),
+                selected=[0],
             )
         hot = np.array([2.0])
         cool = np.array([0.8])

@@ -5,7 +5,11 @@ preference mode.  The runs below pin the other branches of the dispatch
 path — class-dependent candidate sets under departures, the formula
 consumer intentions, per-class provider preferences, and flapping
 providers — with SHA-256 digests recorded before the per-query kernels
-were rewritten, so any drift in those branches trips here.
+were rewritten, so any drift in those branches trips here.  The
+``q.n > 1`` runs pin the multi-provider allocation record (several
+performed positions per push, several queue and utilisation steps per
+query) with digests recorded before it moved from candidate-width masks
+to the selected positions.
 """
 
 from __future__ import annotations
@@ -130,3 +134,100 @@ def test_methods_cannot_write_consumer_intentions():
             tiny_config(duration=30.0), _ScribblingMethod(), seed=SEED
         ).run()
 
+
+
+class _CandidateScribblingMethod(AllocationMethod):
+    name = "candidate-scribbler"
+
+    def __init__(self, field: str) -> None:
+        self.field = field
+
+    def select(self, request):
+        array = getattr(request, self.field)
+        array[0] = array[1]
+        return np.array([0])
+
+
+@pytest.mark.parametrize("field", ("candidates", "capacities"))
+def test_methods_cannot_write_cached_candidate_entries(field):
+    """The cached candidate entry is shared by every query of its class
+    until the pool epoch moves, and identity-keyed caches trust it; a
+    method writing into it must fail loudly instead of corrupting the
+    epoch (a duplicated candidate would silently drop a ring-log row)."""
+    with pytest.raises(ValueError, match="read-only"):
+        MediatorSimulation(
+            tiny_config(duration=30.0),
+            _CandidateScribblingMethod(field),
+            seed=SEED,
+        ).run()
+
+
+def _qn2_run(method):
+    config = tiny_config(duration=80.0, queries_per_request=2)
+    return MediatorSimulation(config, method, seed=SEED).run()
+
+
+def _qn10_three_providers_run(method):
+    # q.n exceeds the population: every provider performs every query.
+    config = tiny_config(
+        n_providers=3, duration=60.0, queries_per_request=10
+    )
+    return MediatorSimulation(config, method, seed=SEED).run()
+
+
+def _qn3_autonomous_run(method):
+    # Departures shrink the candidate set, so the ring log takes its
+    # lockstep row-subset path with three performed positions a push.
+    config = tiny_config(
+        duration=120.0,
+        workload=WorkloadSpec.fixed(1.0),
+        queries_per_request=3,
+    ).with_departures(DepartureRules.autonomous(True))
+    return MediatorSimulation(config, method, seed=SEED).run()
+
+
+MULTI_PROVIDER_RUNS = {
+    "qn2": _qn2_run,
+    "qn10_three_providers": _qn10_three_providers_run,
+    "qn3_autonomous": _qn3_autonomous_run,
+}
+
+#: SHA-256 of every sampled series, recorded while the engine still
+#: recorded allocations through candidate-width performed masks.
+MULTI_PROVIDER_SERIES_SHA256 = {
+    ("qn2", "sqlb"):
+        "fb13cbf512833b43c53511f37e879502e10269b5a402f79ae64cfd11e6a26393",
+    ("qn2", "capacity"):
+        "9835e99d8ab96258c93eb99a6dcc702523f04d0605f84c613b4b34c6d07daa46",
+    ("qn2", "mariposa"):
+        "988401bec147395ca1f73476cd29ad319591c8e0f381134bf0e2029b7131267d",
+    ("qn10_three_providers", "sqlb"):
+        "12421f2660dc35db73c1dd0da4ba6a1d596242f7c7c558e7c3784b5189e270e6",
+    ("qn10_three_providers", "capacity"):
+        "12421f2660dc35db73c1dd0da4ba6a1d596242f7c7c558e7c3784b5189e270e6",
+    ("qn10_three_providers", "mariposa"):
+        "12421f2660dc35db73c1dd0da4ba6a1d596242f7c7c558e7c3784b5189e270e6",
+    ("qn3_autonomous", "sqlb"):
+        "be271818286446c7142d23d38e34e0b4aabd3c932be7b5cc69b17456c9536ba5",
+    ("qn3_autonomous", "capacity"):
+        "b0b4085b9bea687b4b111a92913b35dff1a33fd742bdb85741159ffda10d9d28",
+    ("qn3_autonomous", "mariposa"):
+        "f6da5328a960ce8146ae5652d3b64b2fce1d9439d4e2dabb7e3482db27ef160f",
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("label", sorted(MULTI_PROVIDER_RUNS))
+def test_multi_provider_series_match_pinned_fingerprints(label, method):
+    result = MULTI_PROVIDER_RUNS[label](method)
+    assert (
+        _series_fingerprint(result)
+        == MULTI_PROVIDER_SERIES_SHA256[(label, method)]
+    )
+
+
+def test_qn3_autonomous_run_moves_the_candidate_sets():
+    """The autonomous q.n = 3 run exercises what it is pinned for:
+    departures shrink the candidate set mid-run."""
+    result = _qn3_autonomous_run("capacity")
+    assert any(d.kind == "provider" for d in result.departures)

@@ -41,6 +41,29 @@ class TestAggregation:
         assert report["phases"][0]["share"] == pytest.approx(0.25)
         assert report["phases"][1]["share"] == pytest.approx(0.75)
 
+    def test_phase_rows_carry_us_per_issued_query(self, tmp_path):
+        flush_process(
+            tmp_path,
+            pid_counters={"engine.queries_issued": 500},
+            phases=[("provider_update", 3.0), ("arrival", 1.0)],
+        )
+        report = telemetry_report(tmp_path)
+        assert [row["us_per_query"] for row in report["phases"]] == [
+            pytest.approx(2000.0),
+            pytest.approx(6000.0),
+        ]
+        text = format_telemetry_report(report)
+        assert "2000.00µs/query" in text
+        assert "6000.00µs/query" in text
+
+    def test_us_per_query_is_none_without_issued_queries(self, tmp_path):
+        flush_process(
+            tmp_path, pid_counters={}, phases=[("arrival", 1.0)]
+        )
+        report = telemetry_report(tmp_path)
+        assert report["phases"][0]["us_per_query"] is None
+        assert "µs/query" not in format_telemetry_report(report)
+
     def test_counters_sum_across_processes(self, tmp_path):
         flush_process(tmp_path, pid_counters={"executor.jobs": 2})
         flush_process(tmp_path, pid_counters={"executor.jobs": 3})
